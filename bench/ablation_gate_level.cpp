@@ -37,7 +37,8 @@ int main() {
   };
   auto addRow = [&](const std::string& dfgName, const std::string& machine,
                     const fsm::Fsm& f) {
-    netlist::ControllerNetlist cn = netlist::buildControllerNetlist(f);
+    netlist::ControllerNetlist cn =
+        netlist::buildControllerNetlist(f, synth::synthesize(f));
     if (!netlist::verifyAgainstFsm(cn, f)) {
       std::cout << "VERIFICATION FAILED for " << machine << "\n";
       return;

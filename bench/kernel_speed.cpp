@@ -2,19 +2,22 @@
 // super-linear kernels, each measured as a naive/optimized pair over the
 // Table 2 suite:
 //
-//   equivalence   the end-to-end checkEquivalence suite (what `lint --equiv`
-//                 runs per design) in the naive regime -- reference
-//                 minimizer (logic::MinimizerImpl::Reference: scalar QM
-//                 merge scans and per-offset-row expand trials) + Naive
+//   equivalence   controller synthesis plus the end-to-end checkEquivalence
+//                 suite (what `lint --equiv` runs per design) in the naive
+//                 regime -- synth::synthesizeReference per controller
+//                 (per-row Fsm::step sweep, logic::minimizeReference: scalar
+//                 QM merge scans and per-offset-row expand trials) + Naive
 //                 proof engine (fresh SAT solver + Tseitin encoding per
-//                 miter) -- against the optimized regime: fast minimizer
-//                 (sort+hash QM, 64-rows/word bit-parallel expand) +
-//                 Incremental engine (simulation prefilter + shared
-//                 incremental solver).  Two-level minimization dominates
-//                 this suite's wall clock; the fast minimizer makes the
-//                 same decisions in the same order, so covers, netlists,
-//                 RTL, and every EQV verdict are identical across regimes
-//                 (self-checked here).  The isolated proving kernel
+//                 miter) -- against the optimized regime: the synth pass's
+//                 synth::synthesizeControllers (compiled-guard sweep, fast
+//                 minimizer: sort+hash QM, 64-rows/word bit-parallel
+//                 expand, identical tables minimized once) + Incremental
+//                 engine (simulation prefilter + shared incremental
+//                 solver).  Two-level minimization dominates this suite's
+//                 wall clock; the fast minimizer makes the same decisions
+//                 in the same order, so covers, netlists, RTL, and every
+//                 EQV verdict are identical across regimes (self-checked
+//                 here).  The isolated proving kernel
 //                 (verify::EquivWorkload) is also timed per engine and
 //                 reported alongside.
 //   sweep         the Distributed latency column, brute-force reference
@@ -51,9 +54,9 @@
 #include "common/simd.hpp"
 #include "core/pipeline.hpp"
 #include "dfg/benchmarks.hpp"
-#include "logic/minimize.hpp"
 #include "sched/scheduled_dfg.hpp"
 #include "sim/stats.hpp"
+#include "synth/extract.hpp"
 #include "tau/library.hpp"
 #include "verify/equiv_check.hpp"
 
@@ -117,24 +120,30 @@ int main(int argc, char** argv) {
   verify::EquivOptions incOptions;
   incOptions.engine = verify::EquivEngine::Incremental;
 
-  // End-to-end suite, naive regime: scalar reference minimizer + fresh
-  // solver per miter.
-  logic::setMinimizerImpl(logic::MinimizerImpl::Reference);
+  // End-to-end suite, naive regime: reference synthesis + fresh solver per
+  // miter.
   std::vector<verify::Report> naiveReports;
   const auto tNaive = std::chrono::steady_clock::now();
   for (const auto& dcu : dcus) {
-    naiveReports.push_back(verify::checkEquivalence(dcu, naiveOptions));
+    synth::SynthesizedControllers syn;
+    for (const fsm::UnitController& c : dcu.controllers) {
+      syn.controllers.push_back(synth::synthesizeReference(c.fsm));
+    }
+    naiveReports.push_back(verify::checkEquivalence(dcu, syn, naiveOptions));
   }
   const double naiveEquivMs = wallMs(tNaive);
 
-  // Optimized regime: bit-parallel expand + incremental engine.
-  logic::setMinimizerImpl(logic::MinimizerImpl::Fast);
+  // Optimized regime: the synth pass + incremental engine.
   verify::EquivStats optStats;
   std::vector<verify::Report> optReports;
+  std::vector<synth::SynthesizedControllers> optSyn;
   const auto tOpt = std::chrono::steady_clock::now();
   for (const auto& dcu : dcus) {
     verify::EquivStats stats;
-    optReports.push_back(verify::checkEquivalence(dcu, incOptions, &stats));
+    optSyn.push_back(
+        synth::synthesizeControllers(dcu, synth::EncodingStyle::Binary));
+    optReports.push_back(
+        verify::checkEquivalence(dcu, optSyn.back(), incOptions, &stats));
     optStats += stats;
   }
   const double optEquivMs = wallMs(tOpt);
@@ -151,9 +160,9 @@ int main(int argc, char** argv) {
   // (untimed), several rounds per engine for a stable measurement.
   std::vector<std::unique_ptr<verify::EquivWorkload>> workloads;
   int kernelPairs = 0;
-  for (const auto& dcu : dcus) {
-    workloads.push_back(
-        std::make_unique<verify::EquivWorkload>(dcu, incOptions));
+  for (std::size_t i = 0; i < dcus.size(); ++i) {
+    workloads.push_back(std::make_unique<verify::EquivWorkload>(
+        dcus[i], optSyn[i], incOptions));
     kernelPairs += workloads.back()->pairs();
   }
   constexpr int kRounds = 5;

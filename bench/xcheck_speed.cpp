@@ -14,8 +14,9 @@
 //   "structural"  deterministic, machine-independent facts: per benchmark
 //                 and encoding the controller count, model register count,
 //                 proven reset depth, power-on instance count, ternary gate
-//                 evaluations, every rule's verdict, and the don't-care
-//                 exploitation counts.  CI diffs them against
+//                 evaluations, every rule's verdict (keyed by the network
+//                 for XPR rules and by the controller for DCS rules), and
+//                 the don't-care exploitation counts.  CI diffs them against
 //                 bench/baselines/BENCH_xcheck.json via
 //                 tools/compare_bench.py and fails on drift.
 //   "timingsMs"   wall-clock per benchmark and checker plus the totals.
@@ -173,16 +174,23 @@ int main(int argc, char** argv) {
        << ",\"gateEvals\":" << r.xprop.gateEvals
        << ",\"functionsChecked\":" << r.dcs.functionsChecked
        << ",\"dcFunctions\":" << r.dcs.dcFunctions << ",\"rules\":{";
-    bool first = true;
+    // Rows grouped by artifact -- the network ("dcu ...") for XPR rows, one
+    // controller ("fsm ...") per DCS001-DCS003 triple -- so every key is
+    // unique.  Each artifact's rows are contiguous.
+    std::string group;
     for (const auto* props : {&r.xprop.properties, &r.dcs.properties}) {
       for (const verify::XpropPropertyStat& p : *props) {
-        if (!first) js << ",";
-        first = false;
+        if (p.artifact != group) {
+          js << (group.empty() ? "" : "},") << "\"" << p.artifact << "\":{";
+          group = p.artifact;
+        } else {
+          js << ",";
+        }
         js << "\"" << p.rule << "\":{\"verdict\":\"" << p.verdict
            << "\",\"depth\":" << p.depth << "}";
       }
     }
-    js << "}}";
+    js << (group.empty() ? "" : "}") << "}}";
   }
   js << "}},\"timingsMs\":{\"xpropTotal\":" << jsonNumber(xpropTotalMs)
      << ",\"dcsTotal\":" << jsonNumber(dcsTotalMs) << ",\"perRun\":{";

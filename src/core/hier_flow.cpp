@@ -4,6 +4,7 @@
 #include <map>
 
 #include "sim/makespan.hpp"
+#include "synth/extract.hpp"
 #include "verify/equiv_check.hpp"
 #include "verify/region_check.hpp"
 
@@ -91,9 +92,11 @@ HierFlowResult runHierFlow(const dfg::RegionProgram& program,
     dco.maxConflicts = config.dcsMaxConflicts;
     out.xpropStats = verify::checkXpropHierarchical(
         out.control, "hier " + out.control.sequencer.name(), report, xo);
+    // The sequencer is no unit controller, so no synth pass covers it.
     out.dcsStats = verify::checkDcsFsm(
-        out.control.sequencer, "sequencer " + out.control.sequencer.name(),
-        report, dco);
+        out.control.sequencer,
+        synth::synthesize(out.control.sequencer, config.encoding),
+        "sequencer " + out.control.sequencer.name(), report, dco);
     for (const fsm::LeafControl& leaf : out.control.leaves) {
       out.dcsStats +=
           verify::checkDcs(leaf.dcu, "leaf " + leaf.path, report, dco);

@@ -10,6 +10,7 @@
 #include "core/serialize.hpp"
 #include "core/store.hpp"
 #include "rtl/verilog.hpp"
+#include "synth/extract.hpp"
 #include "verify/equiv_check.hpp"
 #include "verify/symbolic_check.hpp"
 #include "verify/timing_check.hpp"
@@ -36,6 +37,11 @@ struct PassIo {
   template <typename T>
   void out(Artifact a, T value) const {
     slots[idx(a)] = std::make_shared<const T>(std::move(value));
+  }
+  /// Publish the materialized artifact `from` as `to` as well (the same
+  /// immutable value, no copy).
+  void alias(Artifact to, Artifact from) const {
+    slots[idx(to)] = slots[idx(from)];
   }
 };
 
@@ -96,6 +102,34 @@ const std::vector<PassDef>& passRegistry() {
          }
          io.out(Artifact::SignalStats, stats);
        }},
+      {"synth",
+       {Artifact::Distributed},
+       {Artifact::Synth},
+       noConfig,
+       [](const PassIo& io) {
+         io.out(Artifact::Synth,
+                synth::synthesizeControllers(
+                    io.in<fsm::DistributedControlUnit>(Artifact::Distributed),
+                    synth::EncodingStyle::Binary));
+       }},
+      {"synth-encoded",
+       {Artifact::Distributed, Artifact::Synth},
+       {Artifact::SynthEncoded},
+       [](const FlowConfig& c, common::Hasher& h) {
+         h.u64(static_cast<std::uint64_t>(c.encoding));
+       },
+       [](const PassIo& io) {
+         // Its own pass, so flows that never read the encoding (plain
+         // lint, flow without the area model) never synthesize under it.
+         if (io.config.encoding == synth::EncodingStyle::Binary) {
+           io.alias(Artifact::SynthEncoded, Artifact::Synth);
+           return;
+         }
+         io.out(Artifact::SynthEncoded,
+                synth::synthesizeControllers(
+                    io.in<fsm::DistributedControlUnit>(Artifact::Distributed),
+                    io.config.encoding));
+       }},
       {"cent-sync",
        {Artifact::Schedule},
        {Artifact::CentSync},
@@ -126,7 +160,8 @@ const std::vector<PassDef>& passRegistry() {
                     io.config.ps, lo));
        }},
       {"verify",
-       {Artifact::Schedule, Artifact::Distributed, Artifact::CentSync},
+       {Artifact::Schedule, Artifact::Distributed, Artifact::CentSync,
+        Artifact::Synth},
        {Artifact::Diagnostics},
        [](const FlowConfig& c, common::Hasher& h) {
          hashAllocation(h, c.allocation);
@@ -147,6 +182,7 @@ const std::vector<PassDef>& passRegistry() {
                 verify::verifyFlow(
                     io.in<sched::ScheduledDfg>(Artifact::Schedule),
                     io.in<fsm::DistributedControlUnit>(Artifact::Distributed),
+                    io.in<synth::SynthesizedControllers>(Artifact::Synth),
                     vo));
        }},
       {"symbolic-check",
@@ -181,7 +217,7 @@ const std::vector<PassDef>& passRegistry() {
                     opt));
        }},
       {"area-dist",
-       {Artifact::Distributed},
+       {Artifact::Distributed, Artifact::SynthEncoded},
        {Artifact::DistArea},
        [](const FlowConfig& c, common::Hasher& h) {
          h.u64(static_cast<std::uint64_t>(c.encoding));
@@ -190,6 +226,8 @@ const std::vector<PassDef>& passRegistry() {
          io.out(Artifact::DistArea,
                 synth::distributedArea(
                     io.in<fsm::DistributedControlUnit>(Artifact::Distributed),
+                    io.in<synth::SynthesizedControllers>(
+                        Artifact::SynthEncoded),
                     io.config.encoding));
        }},
       {"area-cent-sync",
@@ -226,7 +264,7 @@ const std::vector<PassDef>& passRegistry() {
                     "dcu_" + io.graph.name()));
        }},
       {"equiv",
-       {Artifact::Distributed},
+       {Artifact::Distributed, Artifact::SynthEncoded},
        {Artifact::Equivalence},
        [](const FlowConfig& c, common::Hasher& h) {
          h.u64(static_cast<std::uint64_t>(c.encoding));
@@ -238,12 +276,13 @@ const std::vector<PassDef>& passRegistry() {
          eo.maxConflicts = io.config.equivMaxConflicts;
          verify::EquivalenceArtifact art;
          art.report = verify::checkEquivalence(
-             io.in<fsm::DistributedControlUnit>(Artifact::Distributed), eo,
+             io.in<fsm::DistributedControlUnit>(Artifact::Distributed),
+             io.in<synth::SynthesizedControllers>(Artifact::SynthEncoded), eo,
              &art.stats);
          io.out(Artifact::Equivalence, std::move(art));
        }},
       {"xcheck",
-       {Artifact::Distributed},
+       {Artifact::Distributed, Artifact::SynthEncoded},
        {Artifact::XCheck},
        [](const FlowConfig& c, common::Hasher& h) {
          h.u64(static_cast<std::uint64_t>(c.encoding));
@@ -266,11 +305,13 @@ const std::vector<PassDef>& passRegistry() {
          dco.maxConflicts = io.config.dcsMaxConflicts;
          verify::XCheckArtifact art;
          art.xprop = verify::checkXprop(dcu, artifact, art.report, xo);
-         art.dcs = verify::checkDcs(dcu, artifact, art.report, dco);
+         art.dcs = verify::checkDcs(
+             dcu, io.in<synth::SynthesizedControllers>(Artifact::SynthEncoded),
+             artifact, art.report, dco);
          io.out(Artifact::XCheck, std::move(art));
        }},
       {"timing",
-       {Artifact::Schedule, Artifact::Distributed},
+       {Artifact::Schedule, Artifact::Distributed, Artifact::SynthEncoded},
        {Artifact::Timing},
        [](const FlowConfig& c, common::Hasher& h) {
          h.u64(static_cast<std::uint64_t>(c.encoding));
@@ -283,6 +324,8 @@ const std::vector<PassDef>& passRegistry() {
          io.out(Artifact::Timing,
                 verify::checkTiming(
                     io.in<fsm::DistributedControlUnit>(Artifact::Distributed),
+                    io.in<synth::SynthesizedControllers>(
+                        Artifact::SynthEncoded),
                     io.in<sched::ScheduledDfg>(Artifact::Schedule).clockNs,
                     to));
        }},
@@ -375,6 +418,12 @@ std::uint64_t artifactSizeOf(Artifact a, const std::any& slot) {
           const std::shared_ptr<const verify::XCheckArtifact>&>(slot);
       return art.xprop.properties.size() + art.dcs.properties.size();
     }
+    case Artifact::Synth:
+    case Artifact::SynthEncoded:
+      return std::any_cast<
+                 const std::shared_ptr<const synth::SynthesizedControllers>&>(
+                 slot)
+          ->controllers.size();
   }
   return 0;
 }
@@ -410,6 +459,8 @@ const char* artifactName(Artifact a) {
     case Artifact::Timing: return "timing";
     case Artifact::SymbolicCheck: return "symbolic-check";
     case Artifact::XCheck: return "xcheck";
+    case Artifact::Synth: return "synth";
+    case Artifact::SynthEncoded: return "synth-encoded";
   }
   return "unknown";
 }

@@ -3,12 +3,24 @@
 // The synthesis flow is modelled as a DAG of *passes* over immutable
 // *artifacts* instead of a hand-sequenced monolith:
 //
-//   schedule ──┬─> distributed ─> signal-opt ─┬─> verify       ─> (gate)
-//              │                              ├─> cent-fsm     ─> area-cent-fsm
-//              ├─> cent-sync ─────────────────┤─> area-dist
-//              ├─> latency                    ├─> rtl
-//              ├────────────────> area-cent-sync (from cent-sync)
-//              └─(+ signal-opt)─> equiv, timing, symbolic-check (demand-only)
+//   schedule ──┬─> distributed ─> signal-opt ─┬─> synth ─┬─> verify ─> (gate)
+//              │                              │          └─> synth-encoded
+//              │                              │                ├─> area-dist
+//              │                              │                └─> equiv, timing, xcheck
+//              │                              ├─> cent-fsm ─> area-cent-fsm
+//              │                              └─> rtl
+//              ├─> cent-sync ─> area-cent-sync   (cent-sync also feeds verify)
+//              ├─> latency
+//              └─(+ signal-opt, cent-sync)─> symbolic-check
+//
+// equiv, timing, xcheck and symbolic-check are demand-only.
+//
+// `synth` synthesizes every unit controller once under binary encoding
+// (Artifact::Synth, the netlists verify lints); `synth-encoded` does so
+// under the flow's encoding (Artifact::SynthEncoded, for the area model and
+// the equivalence, timing and don't-care checks) and, for binary flows,
+// republishes the `synth` result.  Every consumer of covers or netlists
+// reads one of these two artifacts.
 //
 // Each pass declares the artifacts it consumes and produces plus the
 // FlowConfig fields it reads; the executor then provides
@@ -75,6 +87,10 @@ class ArtifactStore;  // core/store.hpp -- the optional persistent tier
 ///   SymbolicCheck   verify::SymbolicArtifact     BMC + k-induction verdicts
 ///   XCheck          verify::XCheckArtifact       X-propagation + don't-care
 ///                                                soundness (XPR/DCS rules)
+///   Synth           synth::SynthesizedControllers  every unit controller's
+///                                                covers, binary encoding
+///   SynthEncoded    synth::SynthesizedControllers  the same under the
+///                                                flow's encoding
 ///
 /// Equivalence, Timing, SymbolicCheck and XCheck are demand-only: the
 /// standard run() never requests them directly; `tauhlsc lint
@@ -97,9 +113,11 @@ enum class Artifact : int {
   Timing,
   SymbolicCheck,
   XCheck,
+  Synth,
+  SynthEncoded,
 };
 
-inline constexpr int kNumArtifacts = 16;
+inline constexpr int kNumArtifacts = 18;
 
 /// Stable display name ("schedule", "latency", ...).
 const char* artifactName(Artifact a);

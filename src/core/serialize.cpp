@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "synth/extract.hpp"
 #include "verify/equiv_check.hpp"
 #include "verify/symbolic_check.hpp"
 #include "verify/xprop_check.hpp"
@@ -711,6 +712,97 @@ verify::XCheckArtifact decodeXCheck(Reader& r) {
   return art;
 }
 
+// A cover is its variable count plus (care, value) mask pairs; decoding
+// rebuilds every cube through the Cube/Cover API, so arity and literal
+// bounds are re-validated.
+void encodeCover(Writer& w, const logic::Cover& cover) {
+  w.i32(cover.numVars());
+  w.u64(cover.numCubes());
+  for (const logic::Cube& cube : cover.cubes()) {
+    w.u64(cube.careMask());
+    w.u64(cube.valueMask());
+  }
+}
+
+logic::Cover decodeCover(Reader& r) {
+  const int numVars = r.i32();
+  TAUHLS_CHECK(numVars >= 0 && numVars <= 64,
+               "artifact blob: cover variable count out of range");
+  logic::Cover cover(numVars);
+  const std::size_t numCubes = r.count(16);
+  for (std::size_t i = 0; i < numCubes; ++i) {
+    const std::uint64_t care = r.u64();
+    const std::uint64_t value = r.u64();
+    const std::uint64_t vars =
+        numVars == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << numVars) - 1;
+    TAUHLS_CHECK((care & ~vars) == 0 && (value & ~care) == 0,
+                 "artifact blob: cube literal outside its cover");
+    logic::Cube cube = logic::Cube::full(numVars);
+    for (int v = 0; v < numVars; ++v) {
+      if ((care >> v) & 1) cube.setLiteral(v, ((value >> v) & 1) != 0);
+    }
+    cover.add(cube);
+  }
+  return cover;
+}
+
+void encodeSynthesizedFsm(Writer& w, const synth::SynthesizedFsm& syn) {
+  w.str(syn.name);
+  w.i32(syn.numInputs);
+  w.i32(syn.numOutputs);
+  w.i32(syn.numStates);
+  w.i32(syn.flipFlops);
+  for (const auto* covers : {&syn.nextStateLogic, &syn.outputLogic}) {
+    w.u64(covers->size());
+    for (const logic::Cover& cover : *covers) encodeCover(w, cover);
+  }
+}
+
+synth::SynthesizedFsm decodeSynthesizedFsm(Reader& r) {
+  synth::SynthesizedFsm syn;
+  syn.name = r.str();
+  syn.numInputs = r.i32();
+  syn.numOutputs = r.i32();
+  syn.numStates = r.i32();
+  syn.flipFlops = r.i32();
+  TAUHLS_CHECK(syn.numInputs >= 0 && syn.numInputs <= 64 &&
+                   syn.flipFlops >= 0 && syn.flipFlops <= 64 &&
+                   syn.numOutputs >= 0 && syn.numStates >= 0,
+               "artifact blob: machine shape out of range");
+  for (auto* covers : {&syn.nextStateLogic, &syn.outputLogic}) {
+    const std::size_t n = r.count(12);
+    for (std::size_t i = 0; i < n; ++i) {
+      covers->push_back(decodeCover(r));
+      TAUHLS_CHECK(covers->back().numVars() == syn.flipFlops + syn.numInputs,
+                   "artifact blob: cover arity differs from the machine's");
+    }
+  }
+  TAUHLS_CHECK(
+      syn.nextStateLogic.size() == static_cast<std::size_t>(syn.flipFlops) &&
+          syn.outputLogic.size() == static_cast<std::size_t>(syn.numOutputs),
+      "artifact blob: cover count differs from the machine's");
+  return syn;
+}
+
+void encodeSynth(Writer& w, const synth::SynthesizedControllers& syn) {
+  w.u8(static_cast<std::uint8_t>(syn.style));
+  w.u64(syn.controllers.size());
+  for (const synth::SynthesizedFsm& m : syn.controllers) {
+    encodeSynthesizedFsm(w, m);
+  }
+}
+
+synth::SynthesizedControllers decodeSynth(Reader& r) {
+  synth::SynthesizedControllers syn;
+  syn.style = static_cast<synth::EncodingStyle>(
+      checkedEnum(r.u8(), synth::EncodingStyle::OneHot, "EncodingStyle"));
+  const std::size_t n = r.count(40);
+  for (std::size_t i = 0; i < n; ++i) {
+    syn.controllers.push_back(decodeSynthesizedFsm(r));
+  }
+  return syn;
+}
+
 void encodeSignalStats(Writer& w, const fsm::SignalOptStats& s) {
   w.i32(s.removedOutputs);
   w.i32(s.keptOutputs);
@@ -782,6 +874,10 @@ std::vector<std::uint8_t> encodeArtifact(Artifact kind,
     case Artifact::XCheck:
       encodeXCheck(w, unbox<verify::XCheckArtifact>(value));
       break;
+    case Artifact::Synth:
+    case Artifact::SynthEncoded:
+      encodeSynth(w, unbox<synth::SynthesizedControllers>(value));
+      break;
   }
   return w.take();
 }
@@ -830,6 +926,10 @@ std::any decodeArtifact(Artifact kind, const std::uint8_t* data,
       break;
     case Artifact::XCheck:
       result = box(decodeXCheck(r));
+      break;
+    case Artifact::Synth:
+    case Artifact::SynthEncoded:
+      result = box(decodeSynth(r));
       break;
   }
   r.expectEnd();

@@ -7,7 +7,8 @@
 //  * minimizeExpand: ESPRESSO-style single-cube expansion against the offset;
 //    heuristic but fast, handles larger variable counts.
 //
-// minimize() dispatches on variable count.  All results are verified
+// minimize() dispatches on variable count; minimizeReference() runs the same
+// dispatch over the scalar reference engines.  All results are verified
 // implementable against the spec by `implements`.
 #pragma once
 
@@ -42,18 +43,17 @@ Cover minimizeExpand(const TruthTable& tt);
 /// naive regime; bit-identical covers to minimizeExpand.
 Cover minimizeExpandReference(const TruthTable& tt);
 
-/// Which implementations minimize()/minimizeExact() dispatch to: Fast (the
-/// bit-parallel expand and sort+hash QM above) or Reference (the original
-/// scalar scans).  synth::synthesize keys its truth-table row sweep off the
-/// same hook (compiled bitmask guards vs per-row Fsm::step).  Results are
-/// identical either way; a bench/test hook (bench/kernel_speed.cpp times
-/// the equivalence suite under both regimes).
-enum class MinimizerImpl { Fast, Reference };
-void setMinimizerImpl(MinimizerImpl impl);
-MinimizerImpl minimizerImpl();
-
-/// Dispatch: exact up to 14 variables, expand beyond.
+/// Dispatch: exact up to 14 variables (when at most 4096 onset + don't-care
+/// rows), expand beyond.  Stateless: every call minimizes afresh.  Callers
+/// that see the same table repeatedly (the functions of one machine, the
+/// controllers of one distributed unit) deduplicate themselves -- see
+/// synth::synthesize and synth::synthesizeControllers.
 Cover minimize(const TruthTable& tt);
+
+/// The same dispatch over the reference engines (primeImplicantsReference,
+/// minimizeExpandReference).  Cover-identical to minimize(); an oracle for
+/// the identity tests and the kernel benchmark's naive regime.
+Cover minimizeReference(const TruthTable& tt);
 
 /// True when `cover` is 1 on every onset row and 0 on every offset row of
 /// `spec` (don't-cares unconstrained).

@@ -1,5 +1,8 @@
 #include "logic/truth_table.hpp"
 
+#include <functional>
+#include <string_view>
+
 #include "common/error.hpp"
 
 namespace tauhls::logic {
@@ -54,6 +57,11 @@ bool TruthTable::constantOverCareSet(bool& valueOut) const {
   }
   valueOut = sawOne;  // all-DC counts as constant 0
   return true;
+}
+
+std::size_t TruthTable::hash() const {
+  return std::hash<std::string_view>{}(std::string_view(
+      reinterpret_cast<const char*>(rows_.data()), rows_.size()));
 }
 
 }  // namespace tauhls::logic

@@ -3,6 +3,7 @@
 // next-state bit / output signal.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -27,6 +28,15 @@ class TruthTable {
 
   /// True when the function is constant 0/1 over the care set.
   bool constantOverCareSet(bool& valueOut) const;
+
+  /// Row-content hash, for deduplicating identical tables
+  /// (std::unordered_map<TruthTable, ..., TruthTable::Hash>).
+  std::size_t hash() const;
+  struct Hash {
+    std::size_t operator()(const TruthTable& tt) const { return tt.hash(); }
+  };
+
+  friend bool operator==(const TruthTable&, const TruthTable&) = default;
 
  private:
   int numVars_;

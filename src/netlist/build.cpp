@@ -9,12 +9,6 @@
 namespace tauhls::netlist {
 
 ControllerNetlist buildControllerNetlist(const fsm::Fsm& fsm,
-                                         synth::EncodingStyle style) {
-  return buildControllerNetlist(fsm, style, synth::synthesize(fsm, style));
-}
-
-ControllerNetlist buildControllerNetlist(const fsm::Fsm& fsm,
-                                         synth::EncodingStyle /*style*/,
                                          const synth::SynthesizedFsm& syn) {
   ControllerNetlist cn;
   cn.net = Netlist(fsm.name() + "_logic");

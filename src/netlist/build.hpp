@@ -20,16 +20,11 @@ struct ControllerNetlist {
   ControllerNetlist() : net("unnamed") {}
 };
 
-/// Build the combinational network of `fsm` under the given encoding.
-ControllerNetlist buildControllerNetlist(
-    const fsm::Fsm& fsm, synth::EncodingStyle style = synth::EncodingStyle::Binary);
-
-/// As above, reusing an already-synthesized `syn` of the same fsm/style.
-/// Two-level minimization dominates the controller back end on large FSMs;
-/// callers that already hold the covers (e.g. the equivalence chain, which
-/// compares against them) must not pay for it twice.
+/// Build the combinational network of `fsm` from its synthesized covers
+/// `syn` (any encoding; the state-bit count comes from `syn`).  Covers are
+/// an input, not recomputed: two-level minimization dominates the
+/// controller back end, so every caller passes the one synthesis it holds.
 ControllerNetlist buildControllerNetlist(const fsm::Fsm& fsm,
-                                         synth::EncodingStyle style,
                                          const synth::SynthesizedFsm& syn);
 
 /// Exhaustively verify the netlist against the FSM: for every reachable

@@ -31,7 +31,10 @@ struct AreaRow {
   int totalArea() const { return combArea + seqArea; }
 };
 
-/// Synthesize one FSM and summarize it.
+/// Summarize one synthesized FSM.
+AreaRow areaRow(const std::string& name, const SynthesizedFsm& syn);
+
+/// Synthesize one FSM and summarize it (the CENT-SYNC and CENT-FSM rows).
 AreaRow areaRow(const std::string& name, const fsm::Fsm& fsm,
                 EncodingStyle style = EncodingStyle::Binary);
 
@@ -44,6 +47,13 @@ struct DistributedAreaReport {
   int completionLatches = 0;
 };
 
+/// The report over the unit's already-synthesized controllers, read under
+/// `style`.
+DistributedAreaReport distributedArea(const fsm::DistributedControlUnit& dcu,
+                                      const SynthesizedControllers& syn,
+                                      EncodingStyle style);
+
+/// As above, synthesizing the controllers first.
 DistributedAreaReport distributedArea(const fsm::DistributedControlUnit& dcu,
                                       EncodingStyle style = EncodingStyle::Binary);
 

@@ -6,11 +6,19 @@
 // encoding recovers area.  Each function is minimized with the logic module
 // (exact QM up to 14 variables, heuristic expansion beyond) and re-verified
 // against its specification.
+//
+// synthesizeControllers is the pipeline's one synthesis of a distributed
+// unit per encoding (Artifact::Synth under binary, Artifact::SynthEncoded
+// under the flow's encoding): every pass that needs covers or netlists --
+// verify, area-dist, equiv, timing, xcheck -- consumes it instead of
+// synthesizing again.  synthesizeReference is the reference regime
+// (per-row Fsm::step sweep + logic::minimizeReference), kept as an oracle.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "fsm/distributed.hpp"
 #include "logic/cover.hpp"
 #include "synth/encoding.hpp"
 
@@ -29,14 +37,44 @@ struct SynthesizedFsm {
   int totalLiterals() const;
 };
 
+/// Every unit controller of one distributed control unit, synthesized once
+/// under one encoding.
+struct SynthesizedControllers {
+  EncodingStyle style = EncodingStyle::Binary;
+  std::vector<SynthesizedFsm> controllers;  ///< indexed like dcu.controllers
+
+  /// `controllers`, checked to be `dcu`'s synthesis under `s`: throws
+  /// tauhls::Error on an encoding or controller-count mismatch.
+  const std::vector<SynthesizedFsm>& under(
+      EncodingStyle s, const fsm::DistributedControlUnit& dcu) const;
+};
+
 /// States reachable from the initial state through any transition.  This is
 /// exactly the care-set predicate of the minimizer's don't-care rows, so the
 /// don't-care-soundness checker (verify/dcs_check.hpp) can re-derive the
 /// care set the covers were minimized against.
 std::vector<bool> reachableStates(const fsm::Fsm& fsm);
 
-/// Synthesize `fsm` (which must be valid: deterministic and complete).
+/// Synthesize `fsm` (which must be valid: deterministic and complete).  The
+/// truth-table row sweep evaluates guards compiled to bitmask terms, and
+/// functions with identical truth tables are minimized once.  Throws
+/// tauhls::Error past 22 logic variables (state bits + inputs).
 SynthesizedFsm synthesize(const fsm::Fsm& fsm,
                           EncodingStyle style = EncodingStyle::Binary);
+
+/// The reference regime: rows from stepping the machine (Fsm::step per
+/// row), covers from logic::minimizeReference.  Cover-identical to
+/// synthesize(); an oracle for the identity tests and the kernel
+/// benchmark's naive regime.
+SynthesizedFsm synthesizeReference(
+    const fsm::Fsm& fsm, EncodingStyle style = EncodingStyle::Binary);
+
+/// The synth passes: every controller of `dcu` under `style`, in
+/// dcu.controllers order (so an oversized controller fails with the same
+/// error as synthesize()).  Controllers bound to identical unit shapes
+/// extract identical truth tables; each distinct table is minimized once per
+/// call.  Covers equal per-controller synthesize().
+SynthesizedControllers synthesizeControllers(
+    const fsm::DistributedControlUnit& dcu, EncodingStyle style);
 
 }  // namespace tauhls::synth

@@ -108,8 +108,9 @@ DcsStats& DcsStats::operator+=(const DcsStats& o) {
   return *this;
 }
 
-DcsStats checkDcsFsm(const fsm::Fsm& fsm, const std::string& artifact,
-                     Report& report, const DcsOptions& options) {
+DcsStats checkDcsFsm(const fsm::Fsm& fsm, const synth::SynthesizedFsm& syn,
+                     const std::string& artifact, Report& report,
+                     const DcsOptions& options) {
   DcsStats stats;
   stats.artifact = artifact;
   stats.controllers = 1;
@@ -126,10 +127,6 @@ DcsStats checkDcsFsm(const fsm::Fsm& fsm, const std::string& artifact,
     ++careStates;
   }
 
-  const auto over = options.coverOverrides.find(fsm.name());
-  const synth::SynthesizedFsm syn = over != options.coverOverrides.end()
-                                        ? over->second
-                                        : synth::synthesize(fsm, options.style);
   FnMap spec = lowering::specFunctions(ctx);
   FnMap cover = lowering::coverFunctions(ctx, syn);
   stats.functionsChecked += spec.size();
@@ -260,15 +257,18 @@ DcsStats checkDcsFsm(const fsm::Fsm& fsm, const std::string& artifact,
 }
 
 DcsStats checkDcs(const fsm::DistributedControlUnit& dcu,
+                  const synth::SynthesizedControllers& syn,
                   const std::string& artifact, Report& report,
                   const DcsOptions& options) {
+  const std::vector<synth::SynthesizedFsm>& controllers =
+      syn.under(options.style, dcu);
   std::vector<DcsStats> perController(dcu.controllers.size());
   std::vector<Report> perReport(dcu.controllers.size());
   common::parallelFor(dcu.controllers.size(), [&](std::size_t i) {
     // Per-controller anchors ("fsm <name>"), matching the equivalence
     // checker's convention, so DCS and EQV diagnostics line up.
     perController[i] =
-        checkDcsFsm(dcu.controllers[i].fsm,
+        checkDcsFsm(dcu.controllers[i].fsm, controllers[i],
                     "fsm " + dcu.controllers[i].fsm.name(), perReport[i],
                     options);
   });
@@ -279,6 +279,13 @@ DcsStats checkDcs(const fsm::DistributedControlUnit& dcu,
     report.merge(perReport[i]);
   }
   return stats;
+}
+
+DcsStats checkDcs(const fsm::DistributedControlUnit& dcu,
+                  const std::string& artifact, Report& report,
+                  const DcsOptions& options) {
+  return checkDcs(dcu, synth::synthesizeControllers(dcu, options.style),
+                  artifact, report, options);
 }
 
 }  // namespace tauhls::verify

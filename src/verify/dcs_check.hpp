@@ -45,9 +45,6 @@ struct DcsOptions {
   int maxDepth = 16;
   /// Conflict budget per SAT query; exceeding it degrades to UNKNOWN.
   std::uint64_t maxConflicts = 100000;
-  /// Fault-injection seam: replacement minimized covers per FSM name (the
-  /// don't-care-abusing-minimizer mutation); empty in production runs.
-  std::map<std::string, synth::SynthesizedFsm> coverOverrides;
 };
 
 /// Everything one network's DCS check measured (cacheable, serializable).
@@ -66,14 +63,23 @@ struct DcsStats {
   friend bool operator==(const DcsStats&, const DcsStats&) = default;
 };
 
-/// Don't-care soundness of one FSM's minimized covers (the building block;
-/// also used on the hierarchical region sequencer).
-DcsStats checkDcsFsm(const fsm::Fsm& fsm, const std::string& artifact,
-                     Report& report, const DcsOptions& options = {});
+/// Don't-care soundness of one FSM's minimized covers `syn` (its synthesis
+/// under `options.style`; the building block, also used on the hierarchical
+/// region sequencer).
+DcsStats checkDcsFsm(const fsm::Fsm& fsm, const synth::SynthesizedFsm& syn,
+                     const std::string& artifact, Report& report,
+                     const DcsOptions& options = {});
 
-/// Don't-care soundness of every controller of one network; controllers run
+/// Don't-care soundness of every controller of one network, over the
+/// controllers' synthesis under `options.style`; controllers run
 /// concurrently and merge in index order, so reports are thread-count
 /// independent.
+DcsStats checkDcs(const fsm::DistributedControlUnit& dcu,
+                  const synth::SynthesizedControllers& syn,
+                  const std::string& artifact, Report& report,
+                  const DcsOptions& options = {});
+
+/// As above, synthesizing the controllers first.
 DcsStats checkDcs(const fsm::DistributedControlUnit& dcu,
                   const std::string& artifact, Report& report,
                   const DcsOptions& options = {});

@@ -171,8 +171,9 @@ std::string fsmArtifact(const fsm::Fsm& f) { return "fsm " + f.name(); }
 
 }  // namespace
 
-EquivStats checkControllerChain(const fsm::Fsm& fsm, Report& report,
-                                const EquivOptions& options) {
+EquivStats checkControllerChain(const fsm::Fsm& fsm,
+                                const synth::SynthesizedFsm& syn,
+                                Report& report, const EquivOptions& options) {
   EquivStats stats;
   stats.controllers = 1;
   ControllerContext ctx(fsm, options.style);
@@ -180,13 +181,12 @@ EquivStats checkControllerChain(const fsm::Fsm& fsm, Report& report,
   const std::string artifact = fsmArtifact(fsm);
 
   const FnMap spec = specFunctions(ctx);
-  const synth::SynthesizedFsm syn = synth::synthesize(fsm, options.style);
   const FnMap cover = coverFunctions(ctx, syn);
   int bad = compareFns(prover, spec, cover, "EQV001",
                        "FSM spec vs minimized cover", artifact, report, stats);
 
   const netlist::ControllerNetlist cn =
-      netlist::buildControllerNetlist(fsm, options.style, syn);
+      netlist::buildControllerNetlist(fsm, syn);
   const FnMap nl = netlistFunctions(ctx, cn.net);
   bad += compareFns(prover, cover, nl, "EQV002",
                     "minimized cover vs gate netlist", artifact, report,
@@ -226,12 +226,12 @@ EquivStats checkControllerChain(const fsm::Fsm& fsm, Report& report,
 }
 
 void checkControllerNetlist(const fsm::Fsm& fsm,
+                            const synth::SynthesizedFsm& syn,
                             const netlist::ControllerNetlist& cn,
                             Report& report, const EquivOptions& options) {
   ControllerContext ctx(fsm, options.style);
   Prover prover(ctx, options);
   EquivStats stats;
-  const synth::SynthesizedFsm syn = synth::synthesize(fsm, options.style);
   const FnMap cover = coverFunctions(ctx, syn);
   const FnMap nl = netlistFunctions(ctx, cn.net);
   compareFns(prover, cover, nl, "EQV002", "minimized cover vs gate netlist",
@@ -315,7 +315,10 @@ void checkCompletionLatch(const std::string& packageSource, Report& report,
 }
 
 Report checkEquivalence(const fsm::DistributedControlUnit& dcu,
+                        const synth::SynthesizedControllers& syn,
                         const EquivOptions& options, EquivStats* stats) {
+  const std::vector<synth::SynthesizedFsm>& controllers =
+      syn.under(options.style, dcu);
   // Portfolio: every controller chain is independent (its own context, its
   // own solver), so they run concurrently; merging in controller order keeps
   // the report and stats identical for every thread count.
@@ -323,8 +326,9 @@ Report checkEquivalence(const fsm::DistributedControlUnit& dcu,
   std::vector<Report> reports(n);
   std::vector<EquivStats> perController(n);
   common::parallelFor(n, [&](std::size_t i) {
-    perController[i] =
-        checkControllerChain(dcu.controllers[i].fsm, reports[i], options);
+    perController[i] = checkControllerChain(dcu.controllers[i].fsm,
+                                            controllers[i], reports[i],
+                                            options);
   });
   Report report;
   EquivStats total;
@@ -338,6 +342,12 @@ Report checkEquivalence(const fsm::DistributedControlUnit& dcu,
   return report;
 }
 
+Report checkEquivalence(const fsm::DistributedControlUnit& dcu,
+                        const EquivOptions& options, EquivStats* stats) {
+  return checkEquivalence(
+      dcu, synth::synthesizeControllers(dcu, options.style), options, stats);
+}
+
 struct EquivWorkload::Impl {
   struct Job {
     std::unique_ptr<ControllerContext> ctx;
@@ -349,19 +359,21 @@ struct EquivWorkload::Impl {
 };
 
 EquivWorkload::EquivWorkload(const fsm::DistributedControlUnit& dcu,
+                             const synth::SynthesizedControllers& syn,
                              const EquivOptions& options)
     : impl_(std::make_unique<Impl>()) {
-  for (const auto& controller : dcu.controllers) {
-    const fsm::Fsm& fsm = controller.fsm;
+  const std::vector<synth::SynthesizedFsm>& controllers =
+      syn.under(options.style, dcu);
+  for (std::size_t i = 0; i < dcu.controllers.size(); ++i) {
+    const fsm::Fsm& fsm = dcu.controllers[i].fsm;
     Impl::Job job;
     job.ctx = std::make_unique<ControllerContext>(fsm, options.style);
     ControllerContext& ctx = *job.ctx;
 
     const FnMap spec = specFunctions(ctx);
-    const synth::SynthesizedFsm syn = synth::synthesize(fsm, options.style);
-    const FnMap cover = coverFunctions(ctx, syn);
+    const FnMap cover = coverFunctions(ctx, controllers[i]);
     const netlist::ControllerNetlist cn =
-        netlist::buildControllerNetlist(fsm, options.style, syn);
+        netlist::buildControllerNetlist(fsm, controllers[i]);
     const FnMap nl = netlistFunctions(ctx, cn.net);
 
     const auto pairUp = [&job](const FnMap& reference, const FnMap& candidate,

@@ -28,6 +28,7 @@
 #include "fsm/machine.hpp"
 #include "netlist/build.hpp"
 #include "synth/encoding.hpp"
+#include "synth/extract.hpp"
 #include "verify/diagnostic.hpp"
 
 namespace tauhls::verify {
@@ -78,14 +79,19 @@ struct EquivStats {
   }
 };
 
-/// Full chain for one controller: spec = cover (EQV001), cover = netlist
-/// (EQV002), netlist = reparsed RTL (EQV003); EQV006 info when all clean.
-EquivStats checkControllerChain(const fsm::Fsm& fsm, Report& report,
+/// Full chain for one controller and its synthesis `syn` under
+/// `options.style`: spec = cover (EQV001), cover = netlist (EQV002),
+/// netlist = reparsed RTL (EQV003); EQV006 info when all clean.
+EquivStats checkControllerChain(const fsm::Fsm& fsm,
+                                const synth::SynthesizedFsm& syn,
+                                Report& report,
                                 const EquivOptions& options = {});
 
-/// Cover-vs-netlist only, against a caller-supplied netlist (EQV002).
-/// Exposed for mutation testing: a tampered netlist must be caught here.
+/// Cover-vs-netlist only: the covers of `syn` against a caller-supplied
+/// netlist (EQV002).  Exposed for mutation testing: a tampered netlist must
+/// be caught here.
 void checkControllerNetlist(const fsm::Fsm& fsm,
+                            const synth::SynthesizedFsm& syn,
                             const netlist::ControllerNetlist& cn,
                             Report& report, const EquivOptions& options = {});
 
@@ -101,11 +107,18 @@ void checkControllerRtl(const fsm::Fsm& fsm, const std::string& source,
 void checkCompletionLatch(const std::string& packageSource, Report& report,
                           EquivStats* stats = nullptr);
 
-/// Whole distributed unit: per-controller chains plus the completion latch
-/// of the emitted package.  Controllers are checked as a parallel portfolio
-/// on the global thread pool (each chain owns its context, so chains are
-/// independent); reports and stats are merged in controller order, making
-/// the result identical for every thread count.
+/// Whole distributed unit: per-controller chains over the controllers'
+/// synthesis under `options.style`, plus the completion latch of the emitted
+/// package.  Controllers are checked as a parallel portfolio on the global
+/// thread pool (each chain owns its context, so chains are independent);
+/// reports and stats are merged in controller order, making the result
+/// identical for every thread count.
+Report checkEquivalence(const fsm::DistributedControlUnit& dcu,
+                        const synth::SynthesizedControllers& syn,
+                        const EquivOptions& options = {},
+                        EquivStats* stats = nullptr);
+
+/// As above, synthesizing the controllers first.
 Report checkEquivalence(const fsm::DistributedControlUnit& dcu,
                         const EquivOptions& options = {},
                         EquivStats* stats = nullptr);
@@ -120,8 +133,9 @@ Report checkEquivalence(const fsm::DistributedControlUnit& dcu,
 /// Table 2 scale and mask the kernel.
 class EquivWorkload {
  public:
-  explicit EquivWorkload(const fsm::DistributedControlUnit& dcu,
-                         const EquivOptions& options = {});
+  EquivWorkload(const fsm::DistributedControlUnit& dcu,
+                const synth::SynthesizedControllers& syn,
+                const EquivOptions& options = {});
   ~EquivWorkload();
   EquivWorkload(const EquivWorkload&) = delete;
   EquivWorkload& operator=(const EquivWorkload&) = delete;

@@ -20,17 +20,19 @@
 //                    completion latch; a structural scan of the emitted top
 //                    would flag a false loop through every CCO wire.  The true
 //                    criterion is functional: CCO_b may not functionally
-//                    depend on CCO_a around a cycle.  Each controller is
-//                    synthesized (netlist::buildControllerNetlist) and the
-//                    functional support of every CCO output is computed by
-//                    cofactor comparison over the structural support; only a
-//                    cycle in that dependence graph is a real oscillation
-//                    hazard (NET001).
+//                    depend on CCO_a around a cycle.  Over each
+//                    controller's binary netlist (built from the flow's one
+//                    synthesis), the functional support of every CCO output
+//                    is computed by cofactor comparison over the structural
+//                    support; only a cycle in that dependence graph is a
+//                    real oscillation hazard (NET001).
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "fsm/distributed.hpp"
+#include "netlist/build.hpp"
 #include "netlist/netlist.hpp"
 #include "verify/diagnostic.hpp"
 #include "vsim/ast.hpp"
@@ -43,9 +45,11 @@ void lintNetlist(const netlist::Netlist& net, Report& report);
 /// Parse-level checks over every module of an emitted design (NET001-NET008).
 void lintRtl(const vsim::Design& design, Report& report);
 
-/// Functional cross-controller combinational-loop check (NET001).  `name`
+/// Functional cross-controller combinational-loop check (NET001) over the
+/// controllers' netlists (one per dcu.controllers entry, in order).  `name`
 /// labels the diagnostics (typically the graph name).
 void checkControlLoops(const fsm::DistributedControlUnit& dcu,
+                       const std::vector<netlist::ControllerNetlist>& netlists,
                        const std::string& name, Report& report);
 
 }  // namespace tauhls::verify

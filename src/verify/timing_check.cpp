@@ -1,6 +1,7 @@
 #include "verify/timing_check.hpp"
 
 #include <sstream>
+#include <vector>
 
 #include "netlist/build.hpp"
 
@@ -17,10 +18,11 @@ std::string fmtNs(double v) {
 
 }  // namespace
 
-void checkControllerTiming(const fsm::Fsm& fsm, double clockNs, Report& report,
-                           const TimingOptions& options) {
+void checkControllerTiming(const fsm::Fsm& fsm,
+                           const synth::SynthesizedFsm& syn, double clockNs,
+                           Report& report, const TimingOptions& options) {
   const netlist::ControllerNetlist cn =
-      netlist::buildControllerNetlist(fsm, options.style);
+      netlist::buildControllerNetlist(fsm, syn);
   const netlist::StaResult sta =
       netlist::runSta(cn.net, clockNs, options.marginNs, options.model);
   const std::string artifact = "fsm " + fsm.name();
@@ -43,13 +45,23 @@ void checkControllerTiming(const fsm::Fsm& fsm, double clockNs, Report& report,
                  " ns via " + path);
 }
 
-Report checkTiming(const fsm::DistributedControlUnit& dcu, double clockNs,
+Report checkTiming(const fsm::DistributedControlUnit& dcu,
+                   const synth::SynthesizedControllers& syn, double clockNs,
                    const TimingOptions& options) {
+  const std::vector<synth::SynthesizedFsm>& controllers =
+      syn.under(options.style, dcu);
   Report report;
-  for (const fsm::UnitController& c : dcu.controllers) {
-    checkControllerTiming(c.fsm, clockNs, report, options);
+  for (std::size_t i = 0; i < controllers.size(); ++i) {
+    checkControllerTiming(dcu.controllers[i].fsm, controllers[i], clockNs,
+                          report, options);
   }
   return report;
+}
+
+Report checkTiming(const fsm::DistributedControlUnit& dcu, double clockNs,
+                   const TimingOptions& options) {
+  return checkTiming(dcu, synth::synthesizeControllers(dcu, options.style),
+                     clockNs, options);
 }
 
 }  // namespace tauhls::verify

@@ -11,6 +11,7 @@
 #include "fsm/machine.hpp"
 #include "netlist/sta.hpp"
 #include "synth/encoding.hpp"
+#include "synth/extract.hpp"
 #include "verify/diagnostic.hpp"
 
 namespace tauhls::verify {
@@ -21,11 +22,19 @@ struct TimingOptions {
   synth::EncodingStyle style = synth::EncodingStyle::Binary;
 };
 
-/// STA over one controller's synthesized netlist against `clockNs`.
-void checkControllerTiming(const fsm::Fsm& fsm, double clockNs, Report& report,
-                           const TimingOptions& options = {});
+/// STA over the netlist of one controller's synthesis `syn` against
+/// `clockNs`.
+void checkControllerTiming(const fsm::Fsm& fsm,
+                           const synth::SynthesizedFsm& syn, double clockNs,
+                           Report& report, const TimingOptions& options = {});
 
-/// STA over every unit controller of the distributed control unit.
+/// STA over every unit controller of the distributed control unit, from the
+/// controllers' synthesis under `options.style`.
+Report checkTiming(const fsm::DistributedControlUnit& dcu,
+                   const synth::SynthesizedControllers& syn, double clockNs,
+                   const TimingOptions& options = {});
+
+/// As above, synthesizing the controllers first.
 Report checkTiming(const fsm::DistributedControlUnit& dcu, double clockNs,
                    const TimingOptions& options = {});
 

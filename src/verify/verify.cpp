@@ -1,5 +1,7 @@
 #include "verify/verify.hpp"
 
+#include <vector>
+
 #include "netlist/build.hpp"
 #include "rtl/verilog.hpp"
 #include "verify/dfg_lint.hpp"
@@ -12,6 +14,7 @@ namespace tauhls::verify {
 
 Report verifyFlow(const sched::ScheduledDfg& s,
                   const fsm::DistributedControlUnit& dcu,
+                  const synth::SynthesizedControllers& syn,
                   const VerifyOptions& options) {
   Report report;
 
@@ -35,10 +38,15 @@ Report verifyFlow(const sched::ScheduledDfg& s,
   }
 
   if (options.checkNetlists) {
-    for (const fsm::UnitController& ctl : dcu.controllers) {
-      lintNetlist(netlist::buildControllerNetlist(ctl.fsm).net, report);
+    const std::vector<synth::SynthesizedFsm>& binary =
+        syn.under(synth::EncodingStyle::Binary, dcu);
+    std::vector<netlist::ControllerNetlist> netlists;
+    for (std::size_t i = 0; i < dcu.controllers.size(); ++i) {
+      netlists.push_back(
+          netlist::buildControllerNetlist(dcu.controllers[i].fsm, binary[i]));
+      lintNetlist(netlists.back().net, report);
     }
-    checkControlLoops(dcu, s.graph.name(), report);
+    checkControlLoops(dcu, netlists, s.graph.name(), report);
   }
 
   if (options.checkRtl) {
@@ -48,6 +56,17 @@ Report verifyFlow(const sched::ScheduledDfg& s,
   }
 
   return report;
+}
+
+Report verifyFlow(const sched::ScheduledDfg& s,
+                  const fsm::DistributedControlUnit& dcu,
+                  const VerifyOptions& options) {
+  return verifyFlow(s, dcu,
+                    options.checkNetlists
+                        ? synth::synthesizeControllers(
+                              dcu, synth::EncodingStyle::Binary)
+                        : synth::SynthesizedControllers{},
+                    options);
 }
 
 }  // namespace tauhls::verify

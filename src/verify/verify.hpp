@@ -11,6 +11,7 @@
 #include "fsm/distributed.hpp"
 #include "fsm/machine.hpp"
 #include "sched/scheduled_dfg.hpp"
+#include "synth/extract.hpp"
 #include "verify/diagnostic.hpp"
 #include "verify/model_check.hpp"
 
@@ -26,7 +27,7 @@ struct VerifyOptions {
   bool modelCheck = true;
   /// Bound on product configurations before degrading to MDL007.
   std::size_t modelCheckMaxStates = 200000;
-  /// Synthesize controller netlists and lint them + the functional
+  /// Build the controllers' binary netlists and lint them + the functional
   /// cross-controller loop check (NET*).
   bool checkNetlists = true;
   /// Emit the RTL package and lint the parsed result (NET*).
@@ -34,6 +35,13 @@ struct VerifyOptions {
 };
 
 /// Run all passes over a scheduled design and its distributed controllers.
+/// The netlist layer lints the controllers' binary synthesis `syn`.
+Report verifyFlow(const sched::ScheduledDfg& s,
+                  const fsm::DistributedControlUnit& dcu,
+                  const synth::SynthesizedControllers& syn,
+                  const VerifyOptions& options = {});
+
+/// As above, synthesizing the controllers first.
 Report verifyFlow(const sched::ScheduledDfg& s,
                   const fsm::DistributedControlUnit& dcu,
                   const VerifyOptions& options = {});

@@ -70,7 +70,8 @@ TEST_P(EndToEnd, FullFlowInvariants) {
 
   // --- controller logic is implementable and equivalent --------------------
   const fsm::Fsm& ctrl0 = r.distributed.controllers.front().fsm;
-  netlist::ControllerNetlist cn = netlist::buildControllerNetlist(ctrl0);
+  netlist::ControllerNetlist cn =
+      netlist::buildControllerNetlist(ctrl0, synth::synthesize(ctrl0));
   EXPECT_TRUE(netlist::verifyAgainstFsm(cn, ctrl0));
   EXPECT_TRUE(netlist::meetsClockNaive(netlist::analyze(cn.net),
                                        r.scheduled.clockNs, 0.5, 2.0));

@@ -47,8 +47,10 @@ fsm::Fsm sampleController() {
 }
 
 TEST(Equiv, SingleControllerChainIsClean) {
+  const fsm::Fsm ctrl = sampleController();
   Report report;
-  const EquivStats stats = checkControllerChain(sampleController(), report);
+  const EquivStats stats =
+      checkControllerChain(ctrl, synth::synthesize(ctrl), report);
   EXPECT_FALSE(report.hasErrors());
   EXPECT_EQ(countRule(report, "EQV005"), 0);
   EXPECT_EQ(countRule(report, "EQV006"), 1);
@@ -62,8 +64,10 @@ TEST(Equiv, OneHotChainSkipsRtlStage) {
   // spec = cover = netlist only; it must still come out clean.
   EquivOptions options;
   options.style = synth::EncodingStyle::OneHot;
+  const fsm::Fsm ctrl = sampleController();
   Report report;
-  checkControllerChain(sampleController(), report, options);
+  checkControllerChain(ctrl, synth::synthesize(ctrl, options.style), report,
+                       options);
   EXPECT_FALSE(report.hasErrors());
   EXPECT_EQ(countRule(report, "EQV006"), 1);
 }
@@ -173,17 +177,18 @@ TEST(Equiv, EnginesCatchTamperedNetlistIdentically) {
   other.addTransition(s1, s2, fsm::Guard::always(), {});
   other.addTransition(s2, s0, fsm::Guard::always(), {"busy"});
   const netlist::ControllerNetlist tampered =
-      netlist::buildControllerNetlist(other, synth::EncodingStyle::Binary);
+      netlist::buildControllerNetlist(other, synth::synthesize(other));
+  const synth::SynthesizedFsm goodSyn = synth::synthesize(good);
 
   EquivOptions naive;
   naive.engine = EquivEngine::Naive;
   Report naiveReport;
-  checkControllerNetlist(good, tampered, naiveReport, naive);
+  checkControllerNetlist(good, goodSyn, tampered, naiveReport, naive);
 
   EquivOptions incremental;
   incremental.engine = EquivEngine::Incremental;
   Report incReport;
-  checkControllerNetlist(good, tampered, incReport, incremental);
+  checkControllerNetlist(good, goodSyn, tampered, incReport, incremental);
 
   EXPECT_GT(countRule(naiveReport, "EQV002"), 0);
   EXPECT_EQ(verdictsOf(incReport), verdictsOf(naiveReport));
@@ -275,10 +280,11 @@ TEST(Equiv, TimingMarginTightensSlack) {
   Report loose, tight;
   TimingOptions lo;
   lo.marginNs = 0.0;
-  checkControllerTiming(ctrl, 15.0, loose, lo);
+  const synth::SynthesizedFsm syn = synth::synthesize(ctrl);
+  checkControllerTiming(ctrl, syn, 15.0, loose, lo);
   TimingOptions hi;
   hi.marginNs = 14.0;  // leaves ~1 ns for logic: must at least warn
-  checkControllerTiming(ctrl, 15.0, tight, hi);
+  checkControllerTiming(ctrl, syn, 15.0, tight, hi);
   EXPECT_FALSE(loose.hasErrors());
   EXPECT_TRUE(tight.hasErrors() || countRule(tight, "TIM002") > 0);
 }
@@ -287,7 +293,8 @@ TEST(Equiv, ImpossibleClockRaisesTim001) {
   Report report;
   TimingOptions options;
   options.marginNs = 0.0;
-  checkControllerTiming(sampleController(), 0.5, report, options);
+  const fsm::Fsm ctrl = sampleController();
+  checkControllerTiming(ctrl, synth::synthesize(ctrl), 0.5, report, options);
   EXPECT_TRUE(report.hasErrors());
   EXPECT_GE(countRule(report, "TIM001"), 1);
 }

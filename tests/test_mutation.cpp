@@ -121,7 +121,8 @@ TEST(Mutation, NetlistVerifierCatchesCorruptedGate) {
   auto s = scheduledDiffeq();
   fsm::DistributedControlUnit dcu = fsm::buildDistributed(s);
   const fsm::Fsm& f = dcu.controllers[0].fsm;
-  netlist::ControllerNetlist cn = netlist::buildControllerNetlist(f);
+  netlist::ControllerNetlist cn =
+      netlist::buildControllerNetlist(f, synth::synthesize(f));
   ASSERT_TRUE(netlist::verifyAgainstFsm(cn, f));
   // Corrupt: invert the first output's net.
   netlist::ControllerNetlist bad;
@@ -241,12 +242,13 @@ TEST(Mutation, EquivCatchesDroppedInverter) {
   auto s = scheduledDiffeq();
   fsm::DistributedControlUnit dcu = fsm::buildDistributed(s);
   const fsm::Fsm& f = dcu.controllers[0].fsm;
-  const netlist::ControllerNetlist cn = netlist::buildControllerNetlist(f);
+  const synth::SynthesizedFsm syn = synth::synthesize(f);
+  const netlist::ControllerNetlist cn = netlist::buildControllerNetlist(f, syn);
 
   // Baseline: the faithful clone proves clean.
   verify::Report clean;
   verify::checkControllerNetlist(
-      f, cloneNetlist(cn, kKeepFanin, kKeepOutput), clean);
+      f, syn, cloneNetlist(cn, kKeepFanin, kKeepOutput), clean);
   ASSERT_FALSE(clean.hasErrors());
 
   // Mutant: the first inverter becomes a wire (its users read the uninverted
@@ -270,7 +272,7 @@ TEST(Mutation, EquivCatchesDroppedInverter) {
       },
       kKeepOutput);
   verify::Report report;
-  verify::checkControllerNetlist(f, dropped, report);
+  verify::checkControllerNetlist(f, syn, dropped, report);
   EXPECT_TRUE(report.hasErrors());
   EXPECT_GE(countRule(report, "EQV002"), 1);
 }
@@ -279,7 +281,8 @@ TEST(Mutation, EquivCatchesSwappedFanin) {
   auto s = scheduledDiffeq();
   fsm::DistributedControlUnit dcu = fsm::buildDistributed(s);
   const fsm::Fsm& f = dcu.controllers[0].fsm;
-  const netlist::ControllerNetlist cn = netlist::buildControllerNetlist(f);
+  const synth::SynthesizedFsm syn = synth::synthesize(f);
+  const netlist::ControllerNetlist cn = netlist::buildControllerNetlist(f, syn);
 
   // Mutant: one AND gate reads a different input net in its first slot --
   // a miswired fanin.  (Reordering fanins would be masked by commutativity,
@@ -306,7 +309,7 @@ TEST(Mutation, EquivCatchesSwappedFanin) {
       },
       kKeepOutput);
   verify::Report report;
-  verify::checkControllerNetlist(f, swapped, report);
+  verify::checkControllerNetlist(f, syn, swapped, report);
   EXPECT_TRUE(report.hasErrors());
   EXPECT_GE(countRule(report, "EQV002"), 1);
 }

@@ -102,13 +102,14 @@ TEST(Build, ControllerNetlistsEquivalentToFsms) {
                                   tau::paperLibrary());
   fsm::DistributedControlUnit dcu = fsm::buildDistributed(s);
   for (const fsm::UnitController& c : dcu.controllers) {
-    ControllerNetlist cn = buildControllerNetlist(c.fsm);
+    ControllerNetlist cn =
+        buildControllerNetlist(c.fsm, synth::synthesize(c.fsm));
     EXPECT_TRUE(verifyAgainstFsm(cn, c.fsm)) << c.fsm.name();
     GateStats stats = analyze(cn.net);
     EXPECT_GT(stats.gateEquivalents, 0);
   }
   fsm::Fsm sync = fsm::buildCentSync(s);
-  ControllerNetlist cn = buildControllerNetlist(sync);
+  ControllerNetlist cn = buildControllerNetlist(sync, synth::synthesize(sync));
   EXPECT_TRUE(verifyAgainstFsm(cn, sync));
 }
 
@@ -119,8 +120,8 @@ TEST(Build, OneHotEncodingAlsoEquivalent) {
       tau::paperLibrary());
   fsm::DistributedControlUnit dcu = fsm::buildDistributed(s);
   for (const fsm::UnitController& c : dcu.controllers) {
-    ControllerNetlist cn =
-        buildControllerNetlist(c.fsm, synth::EncodingStyle::OneHot);
+    ControllerNetlist cn = buildControllerNetlist(
+        c.fsm, synth::synthesize(c.fsm, synth::EncodingStyle::OneHot));
     EXPECT_TRUE(verifyAgainstFsm(cn, c.fsm, synth::EncodingStyle::OneHot));
   }
 }
@@ -135,8 +136,8 @@ TEST(Build, CubeSharingAcrossFunctions) {
                                   tau::paperLibrary());
   fsm::DistributedControlUnit dcu = fsm::buildDistributed(s);
   const fsm::Fsm& f = dcu.controllers[0].fsm;
-  ControllerNetlist cn = buildControllerNetlist(f);
   const synth::SynthesizedFsm syn = synth::synthesize(f);
+  ControllerNetlist cn = buildControllerNetlist(f, syn);
   // Count distinct cubes across all covers; AND gates must not exceed that.
   std::set<std::pair<std::uint64_t, std::uint64_t>> distinct;
   auto collect = [&distinct](const logic::Cover& cover) {
@@ -177,7 +178,8 @@ TEST_P(NetlistProperty, RandomControllersVerify) {
                                   tau::paperLibrary());
   fsm::DistributedControlUnit dcu = fsm::buildDistributed(s);
   for (const fsm::UnitController& c : dcu.controllers) {
-    ControllerNetlist cn = buildControllerNetlist(c.fsm);
+    ControllerNetlist cn =
+        buildControllerNetlist(c.fsm, synth::synthesize(c.fsm));
     EXPECT_TRUE(verifyAgainstFsm(cn, c.fsm)) << c.fsm.name();
   }
 }

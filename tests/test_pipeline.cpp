@@ -243,11 +243,47 @@ TEST(Pipeline, LazyEvaluationRunsOnlyTheDemandClosure) {
       if (runs > 0) ran.insert(pass);
     }
     EXPECT_EQ(ran, (std::set<std::string>{"cent-sync", "distributed",
-                                          "schedule", "signal-opt",
+                                          "schedule", "signal-opt", "synth",
                                           "verify"}));
     EXPECT_FALSE(p.has(Artifact::Latency));
     EXPECT_FALSE(p.has(Artifact::DistArea));
     EXPECT_FALSE(p.has(Artifact::Rtl));
+  }
+}
+
+// Every consumer of covers or netlists reads the Synth (binary) or
+// SynthEncoded artifact: a lint-shaped demand synthesizes the controllers
+// exactly once per encoding it reads.
+TEST(Pipeline, LintDemandSynthesizesOnce) {
+  const auto suiteCopy = dfg::paperTable2Suite();
+  const dfg::NamedBenchmark& b = suiteCopy.front();
+  for (const synth::EncodingStyle style :
+       {synth::EncodingStyle::Binary, synth::EncodingStyle::OneHot}) {
+    SCOPED_TRACE(style == synth::EncodingStyle::Binary ? "binary" : "onehot");
+    FlowConfig cfg;
+    cfg.allocation = b.allocation;
+    cfg.encoding = style;
+    auto cache = std::make_shared<ArtifactCache>();
+    FlowPipeline p(b.graph, cfg, cache);
+    p.require({Artifact::Diagnostics, Artifact::DistArea,
+               Artifact::Equivalence, Artifact::Timing, Artifact::XCheck});
+    const CacheStats stats = cache->stats();
+    EXPECT_EQ(stats.runsPerPass.at("synth"), 1u);
+    EXPECT_EQ(stats.runsPerPass.at("synth-encoded"), 1u);
+    for (const char* consumer :
+         {"verify", "area-dist", "equiv", "timing", "xcheck"}) {
+      EXPECT_EQ(stats.runsPerPass.at(consumer), 1u) << consumer;
+    }
+    const auto& dcu = p.get<fsm::DistributedControlUnit>(Artifact::Distributed);
+    const auto& binary = p.get<synth::SynthesizedControllers>(Artifact::Synth);
+    const auto& encoded =
+        p.get<synth::SynthesizedControllers>(Artifact::SynthEncoded);
+    EXPECT_EQ(binary.under(synth::EncodingStyle::Binary, dcu).size(),
+              dcu.controllers.size());
+    EXPECT_EQ(encoded.under(style, dcu).size(), dcu.controllers.size());
+    // A binary flow republishes the one binary synthesis.
+    EXPECT_EQ(&binary == &encoded, style == synth::EncodingStyle::Binary);
+    EXPECT_FALSE(p.get<verify::Report>(Artifact::Diagnostics).hasErrors());
   }
 }
 
@@ -320,7 +356,7 @@ TEST(Pipeline, ArtifactKeysTrackOnlyDeclaredConfigFields) {
   base.allocation = b.allocation;
   FlowPipeline p0(b.graph, base);
 
-  // The encoding style feeds the area passes only.
+  // The encoding style feeds synth-encoded and the area passes only.
   FlowConfig enc = base;
   enc.encoding = synth::EncodingStyle::OneHot;
   FlowPipeline p1(b.graph, enc);
@@ -330,6 +366,12 @@ TEST(Pipeline, ArtifactKeysTrackOnlyDeclaredConfigFields) {
             p1.artifactKey(Artifact::Latency));
   EXPECT_NE(p0.artifactKey(Artifact::DistArea),
             p1.artifactKey(Artifact::DistArea));
+  // Verify lints the binary synthesis whatever the encoding.
+  EXPECT_EQ(p0.artifactKey(Artifact::Synth), p1.artifactKey(Artifact::Synth));
+  EXPECT_EQ(p0.artifactKey(Artifact::Diagnostics),
+            p1.artifactKey(Artifact::Diagnostics));
+  EXPECT_NE(p0.artifactKey(Artifact::SynthEncoded),
+            p1.artifactKey(Artifact::SynthEncoded));
 
   // The P list feeds latency only.
   FlowConfig ps = base;

@@ -164,7 +164,9 @@ fsm::Fsm sampleController() {
 }
 
 TEST(Sta, ControllerNetlistEndToEnd) {
-  const ControllerNetlist cn = buildControllerNetlist(sampleController());
+  const fsm::Fsm ctrl = sampleController();
+  const ControllerNetlist cn =
+      buildControllerNetlist(ctrl, synth::synthesize(ctrl));
   const StaResult sta = runSta(cn.net, 15.0, 2.0);
   EXPECT_GT(sta.worstArrivalNs, 0.0);
   EXPECT_TRUE(sta.meetsClock());
@@ -177,7 +179,9 @@ TEST(Sta, RefinesNaiveDepthBound) {
   // fanout load and input arrival; STA on the same netlist must still be in
   // the same ballpark (within the same order of magnitude), and meetsClock
   // must now be the STA verdict.
-  const ControllerNetlist cn = buildControllerNetlist(sampleController());
+  const fsm::Fsm ctrl = sampleController();
+  const ControllerNetlist cn =
+      buildControllerNetlist(ctrl, synth::synthesize(ctrl));
   const GateStats stats = analyze(cn.net);
   const double naive = stats.depth * 0.5;
   const StaResult sta = runSta(cn.net, 15.0, 2.0);

@@ -18,6 +18,7 @@
 #include "dfg/benchmarks.hpp"
 #include "fsm/kiss.hpp"
 #include "rtl/verilog.hpp"
+#include "synth/extract.hpp"
 #include "verify/diagnostic.hpp"
 #include "verify/equiv_check.hpp"
 #include "verify/symbolic_check.hpp"
@@ -123,6 +124,11 @@ TEST(Serialize, RoundTripsEveryArtifactKind) {
         slotValue = std::make_shared<const verify::XCheckArtifact>(
             pipe->get<verify::XCheckArtifact>(a));
         break;
+      case Artifact::Synth:
+      case Artifact::SynthEncoded:
+        slotValue = std::make_shared<const synth::SynthesizedControllers>(
+            pipe->get<synth::SynthesizedControllers>(a));
+        break;
     }
 
     const std::vector<std::uint8_t> bytes = encodeArtifact(a, slotValue);
@@ -156,6 +162,64 @@ TEST(Serialize, RoundTripsEveryArtifactKind) {
     EXPECT_EQ(fsm::toKiss2(machine), fsm::toKiss2(back));
     fsm::validateFsm(back);
   }
+}
+
+// The synthesized-controllers codec under both encodings: byte-identical
+// re-encoding and cover-for-cover equality.
+TEST(Serialize, SynthRoundTripsUnderBothEncodings) {
+  const auto suite = dfg::paperTable2Suite();
+  const dfg::NamedBenchmark& b = suite.back();
+  FlowConfig cfg;
+  cfg.allocation = b.allocation;
+  cfg.encoding = synth::EncodingStyle::OneHot;
+  FlowPipeline pipe(b.graph, cfg);
+  for (const Artifact a : {Artifact::Synth, Artifact::SynthEncoded}) {
+    SCOPED_TRACE(artifactName(a));
+    const auto& syn = pipe.get<synth::SynthesizedControllers>(a);
+    ASSERT_FALSE(syn.controllers.empty());
+    const auto bytes = encodeArtifact(
+        a,
+        std::any(std::make_shared<const synth::SynthesizedControllers>(syn)));
+    const auto decoded = decodeArtifact(a, bytes.data(), bytes.size());
+    EXPECT_EQ(encodeArtifact(a, decoded), bytes);
+    const auto& back =
+        **std::any_cast<std::shared_ptr<const synth::SynthesizedControllers>>(
+            &decoded);
+    EXPECT_EQ(back.style, syn.style);
+    ASSERT_EQ(back.controllers.size(), syn.controllers.size());
+    for (std::size_t i = 0; i < syn.controllers.size(); ++i) {
+      const synth::SynthesizedFsm& mine = syn.controllers[i];
+      const synth::SynthesizedFsm& theirs = back.controllers[i];
+      EXPECT_EQ(mine.name, theirs.name);
+      EXPECT_EQ(mine.totalLiterals(), theirs.totalLiterals());
+      for (std::size_t f = 0; f < mine.nextStateLogic.size(); ++f) {
+        EXPECT_EQ(mine.nextStateLogic[f].cubes(),
+                  theirs.nextStateLogic[f].cubes());
+      }
+      for (std::size_t f = 0; f < mine.outputLogic.size(); ++f) {
+        EXPECT_EQ(mine.outputLogic[f].cubes(), theirs.outputLogic[f].cubes());
+      }
+    }
+  }
+  EXPECT_EQ(pipe.get<synth::SynthesizedControllers>(Artifact::Synth).style,
+            synth::EncodingStyle::Binary);
+  EXPECT_EQ(
+      pipe.get<synth::SynthesizedControllers>(Artifact::SynthEncoded).style,
+      synth::EncodingStyle::OneHot);
+
+  // A cover whose arity disagrees with its machine is rejected.
+  synth::SynthesizedControllers bad =
+      pipe.get<synth::SynthesizedControllers>(Artifact::Synth);
+  logic::Cover& cover = bad.controllers.front().outputLogic.front();
+  logic::Cover widened(cover.numVars() + 1);
+  widened.add(logic::Cube::minterm(cover.numVars() + 1, 0));
+  cover = widened;
+  const auto badBytes = encodeArtifact(
+      Artifact::Synth,
+      std::any(std::make_shared<const synth::SynthesizedControllers>(bad)));
+  EXPECT_THROW(
+      (void)decodeArtifact(Artifact::Synth, badBytes.data(), badBytes.size()),
+      Error);
 }
 
 TEST(Serialize, RejectsGarbageWithoutCrashing) {

@@ -5,7 +5,7 @@
 #include "fsm/cent_sync.hpp"
 #include "fsm/distributed.hpp"
 #include "fsm/product.hpp"
-#include "logic/minimize.hpp"
+#include "fsm/signal_opt.hpp"
 #include "synth/area.hpp"
 #include "synth/encoding.hpp"
 #include "synth/extract.hpp"
@@ -32,6 +32,22 @@ fsm::Fsm toyCounter() {
   f.addTransition(s2, s0, fsm::Guard::always(), {"done"});
   f.setInitial(s0);
   return f;
+}
+
+void expectSameLogic(const SynthesizedFsm& a, const SynthesizedFsm& b,
+                     const std::string& name) {
+  EXPECT_EQ(a.flipFlops, b.flipFlops) << name;
+  ASSERT_EQ(a.nextStateLogic.size(), b.nextStateLogic.size()) << name;
+  for (std::size_t i = 0; i < a.nextStateLogic.size(); ++i) {
+    EXPECT_EQ(a.nextStateLogic[i].cubes(), b.nextStateLogic[i].cubes())
+        << name << " ns" << i;
+  }
+  ASSERT_EQ(a.outputLogic.size(), b.outputLogic.size()) << name;
+  for (std::size_t i = 0; i < a.outputLogic.size(); ++i) {
+    EXPECT_EQ(a.outputLogic[i].cubes(), b.outputLogic[i].cubes())
+        << name << " out" << i;
+  }
+  EXPECT_EQ(a.totalLiterals(), b.totalLiterals()) << name;
 }
 
 TEST(Encoding, BinaryCompact) {
@@ -102,10 +118,10 @@ TEST(Extract, DistributedControllersSynthesize) {
   }
 }
 
-// The Fast regime compiles guards to bitmask terms for the truth-table row
-// sweep (and runs the fast minimizer); the Reference regime steps the FSM
-// row by row.  Both must extract identical covers on real controllers,
-// under both encodings.
+// synthesize() compiles guards to bitmask terms for the truth-table row
+// sweep and runs the fast minimizer; synthesizeReference() steps the FSM row
+// by row and runs the reference minimizer.  Both must extract identical
+// covers on real controllers, under both encodings.
 TEST(Extract, FastAndReferenceRegimesExtractIdenticalLogic) {
   auto sdfg = sched::scheduleAndBind(dfg::diffeq(),
                                      Allocation{{ResourceClass::Multiplier, 2},
@@ -116,23 +132,39 @@ TEST(Extract, FastAndReferenceRegimesExtractIdenticalLogic) {
   for (const fsm::UnitController& c : dcu.controllers) {
     for (const EncodingStyle style :
          {EncodingStyle::Binary, EncodingStyle::OneHot}) {
-      logic::setMinimizerImpl(logic::MinimizerImpl::Reference);
-      const SynthesizedFsm ref = synthesize(c.fsm, style);
-      logic::setMinimizerImpl(logic::MinimizerImpl::Fast);
+      const SynthesizedFsm ref = synthesizeReference(c.fsm, style);
       const SynthesizedFsm fast = synthesize(c.fsm, style);
-      ASSERT_EQ(fast.nextStateLogic.size(), ref.nextStateLogic.size());
-      for (std::size_t i = 0; i < fast.nextStateLogic.size(); ++i) {
-        EXPECT_EQ(fast.nextStateLogic[i].cubes(),
-                  ref.nextStateLogic[i].cubes())
-            << c.fsm.name() << " ns" << i;
-      }
-      ASSERT_EQ(fast.outputLogic.size(), ref.outputLogic.size());
-      for (std::size_t i = 0; i < fast.outputLogic.size(); ++i) {
-        EXPECT_EQ(fast.outputLogic[i].cubes(), ref.outputLogic[i].cubes())
-            << c.fsm.name() << " out" << i;
-      }
-      EXPECT_EQ(fast.totalLiterals(), ref.totalLiterals());
+      expectSameLogic(fast, ref, c.fsm.name());
     }
+  }
+}
+
+// The synth passes minimize each distinct truth table once across all
+// controllers (AR-lattice's six controllers repeat many tables); the covers
+// must equal synthesizing every controller on its own, under both
+// encodings.
+TEST(Extract, ControllerPassMatchesPerControllerSynthesis) {
+  const auto suite = dfg::paperTable2Suite();
+  const dfg::NamedBenchmark& arlattice = suite.back();
+  ASSERT_EQ(arlattice.name, "AR-lattice");
+  const fsm::DistributedControlUnit dcu =
+      fsm::optimizeSignals(fsm::buildDistributed(sched::scheduleAndBind(
+          arlattice.graph, arlattice.allocation, tau::paperLibrary())));
+  for (const EncodingStyle style :
+       {EncodingStyle::Binary, EncodingStyle::OneHot}) {
+    const SynthesizedControllers syn = synthesizeControllers(dcu, style);
+    const std::vector<SynthesizedFsm>& controllers = syn.under(style, dcu);
+    for (std::size_t i = 0; i < dcu.controllers.size(); ++i) {
+      const fsm::Fsm& f = dcu.controllers[i].fsm;
+      expectSameLogic(controllers[i], synthesize(f, style), f.name());
+    }
+    // The consumers' guard: another encoding or another unit is an error.
+    EXPECT_THROW(syn.under(style == EncodingStyle::Binary
+                               ? EncodingStyle::OneHot
+                               : EncodingStyle::Binary,
+                           dcu),
+                 Error);
+    EXPECT_THROW(syn.under(style, fsm::DistributedControlUnit{}), Error);
   }
 }
 

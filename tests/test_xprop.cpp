@@ -140,6 +140,7 @@ TEST(XpropClean, ComposedFirIirLoopProvesXpr003) {
 
   Report dcsReport;
   DcsStats ds = checkDcsFsm(r.control.sequencer,
+                            synth::synthesize(r.control.sequencer),
                             "sequencer " + r.control.sequencer.name(),
                             dcsReport, {});
   for (const fsm::LeafControl& leaf : r.control.leaves) {
@@ -225,25 +226,24 @@ TEST(DcsMutation, DontCareAbusingMinimizerTripsDcs) {
   // don't-care rows.  A "minimizer" that collapses every next-state function
   // to constant 1 steers the machine straight onto the all-ones don't-care
   // code, which is legal only if that row were unreachable.
-  const fsm::Fsm* victim = nullptr;
-  synth::SynthesizedFsm syn;
-  for (const fsm::UnitController& c : dcu.controllers) {
-    syn = synth::synthesize(c.fsm, synth::EncodingStyle::Binary);
-    if ((std::size_t{1} << syn.flipFlops) > c.fsm.numStates()) {
-      victim = &c.fsm;
+  synth::SynthesizedControllers syn =
+      synth::synthesizeControllers(dcu, synth::EncodingStyle::Binary);
+  synth::SynthesizedFsm* victim = nullptr;
+  for (std::size_t i = 0; i < dcu.controllers.size(); ++i) {
+    if ((std::size_t{1} << syn.controllers[i].flipFlops) >
+        dcu.controllers[i].fsm.numStates()) {
+      victim = &syn.controllers[i];
       break;
     }
   }
   ASSERT_NE(victim, nullptr) << "no controller with don't-care rows";
-  for (logic::Cover& cover : syn.nextStateLogic) {
+  for (logic::Cover& cover : victim->nextStateLogic) {
     logic::Cover constantOne(cover.numVars());
     constantOne.add(logic::Cube::full(constantOne.numVars()));
     cover = constantOne;
   }
-  DcsOptions dco;
-  dco.coverOverrides.emplace(victim->name(), syn);
   Report report;
-  checkDcs(dcu, "dcu fig2", report, dco);
+  checkDcs(dcu, syn, "dcu fig2", report);
   EXPECT_TRUE(report.has("DCS001")) << renderText(report);
   // The mutated covers also steer the implemented machine onto a don't-care
   // row, and the BMC counterexample decodes to named states.

@@ -22,6 +22,10 @@ Known schemas and the bench binaries that emit them:
     tauhls-bench-pipeline    build/bench/pipeline_trajectory
     tauhls-bench-modelcheck  build/bench/model_check_speed
     tauhls-bench-regions     build/bench/region_flow
+    tauhls-bench-xcheck      build/bench/xcheck_speed
+
+Both documents must be strict JSON: a duplicate key anywhere is an error
+(exit 1), never a silent last-one-wins.
 
 Usage: compare_bench.py BASELINE CURRENT [-o REPORT.md]
 """
@@ -37,6 +41,25 @@ KNOWN_SCHEMAS = {
     "tauhls-bench-regions": "Hierarchical-regions bench comparison",
     "tauhls-bench-xcheck": "X-safety bench comparison",
 }
+
+
+def reject_duplicates(pairs):
+    """object_pairs_hook: a repeated key would silently keep only its last
+    value, hiding every earlier row from the structural diff."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate JSON key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def load_strict(path):
+    with open(path) as f:
+        try:
+            return json.load(f, object_pairs_hook=reject_duplicates)
+        except ValueError as e:
+            sys.exit(f"{path}: {e}")
 
 
 def flatten(prefix, node, out):
@@ -59,10 +82,8 @@ def main():
     parser.add_argument("-o", "--output", help="markdown report path")
     args = parser.parse_args()
 
-    with open(args.baseline) as f:
-        base = json.load(f)
-    with open(args.current) as f:
-        cur = json.load(f)
+    base = load_strict(args.baseline)
+    cur = load_strict(args.current)
 
     failures = []
     schema = base.get("schema")
