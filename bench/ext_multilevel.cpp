@@ -12,7 +12,7 @@
 #include <sstream>
 
 #include "bench_util.hpp"
-#include "vcau/stats.hpp"
+#include "sim/stats.hpp"
 
 int main() {
   using namespace tauhls;
@@ -39,23 +39,22 @@ int main() {
   for (const dfg::NamedBenchmark& b : dfg::paperTable2Suite()) {
     auto s = sched::scheduleAndBind(b.graph, b.allocation, lib10);
     for (const auto& pmf : pmfs) {
-      vcau::MultiLevelLibrary fine{{dfg::ResourceClass::Multiplier,
-                                    vcau::multiLevelUnit(
-                                        "tau3", dfg::ResourceClass::Multiplier,
-                                        {10, 20, 30}, pmf)}};
+      tau::MultiLevelLibrary fine{{dfg::ResourceClass::Multiplier,
+                                   tau::multiLevelUnit(
+                                       "tau3", dfg::ResourceClass::Multiplier,
+                                       {10, 20, 30}, pmf)}};
       // Coarse detector: only level 0 is certified; levels 1 and 2 both run
       // to the 3-cycle worst case.
-      vcau::MultiLevelLibrary coarse{{dfg::ResourceClass::Multiplier,
-                                      vcau::multiLevelUnit(
-                                          "tau3c", dfg::ResourceClass::Multiplier,
-                                          {10, 20, 30},
-                                          {pmf[0], 0.0, pmf[1] + pmf[2]})}};
+      tau::MultiLevelLibrary coarse{
+          {dfg::ResourceClass::Multiplier,
+           tau::multiLevelUnit("tau3c", dfg::ResourceClass::Multiplier,
+                               {10, 20, 30}, {pmf[0], 0.0, pmf[1] + pmf[2]})}};
       const double dist =
-          vcau::averageCycles(s, fine, vcau::ControlStyle::Distributed);
+          sim::averageCycles(s, fine, sim::ControlStyle::Distributed);
       const double sync =
-          vcau::averageCycles(s, fine, vcau::ControlStyle::CentSync);
+          sim::averageCycles(s, fine, sim::ControlStyle::CentSync);
       const double coarseDist =
-          vcau::averageCycles(s, coarse, vcau::ControlStyle::Distributed);
+          sim::averageCycles(s, coarse, sim::ControlStyle::Distributed);
       std::ostringstream pmfText;
       pmfText << pmf[0] << "/" << pmf[1] << "/" << pmf[2];
       t.addRow({b.name, pmfText.str(), fmt(dist), fmt(sync),

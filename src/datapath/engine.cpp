@@ -1,6 +1,5 @@
 #include "datapath/engine.hpp"
 
-#include <cctype>
 #include <set>
 #include <unordered_set>
 
@@ -10,30 +9,6 @@
 namespace tauhls::datapath {
 
 using dfg::NodeId;
-
-namespace {
-
-/// Parse "S<i>" / "S<i>p" / "R<i>"; kind 'S' = first execution cycle.
-struct ParsedState {
-  char kind = '?';
-  int index = -1;
-};
-
-ParsedState parseState(const std::string& name) {
-  ParsedState p;
-  if (name.size() < 2) return p;
-  const bool primed = name.back() == 'p';
-  const std::string digits = name.substr(1, name.size() - 1 - (primed ? 1 : 0));
-  for (char c : digits) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return p;
-  }
-  p.index = std::stoi(digits);
-  if (name[0] == 'S') p.kind = primed ? 'P' : 'S';
-  if (name[0] == 'R' && !primed) p.kind = 'R';
-  return p;
-}
-
-}  // namespace
 
 ExecutionResult execute(const fsm::DistributedControlUnit& dcu,
                         const sched::ScheduledDfg& s,
@@ -72,15 +47,12 @@ ExecutionResult execute(const fsm::DistributedControlUnit& dcu,
     return operands;
   };
 
-  std::vector<int> state(n);
-  std::vector<std::set<std::string>> latches(n);
-  for (std::size_t c = 0; c < n; ++c) state[c] = dcu.controllers[c].fsm.initial();
-
   std::set<std::string> pendingRe;
   for (NodeId v : s.graph.opIds()) {
     pendingRe.insert(fsm::registerEnableSignal(s.graph.node(v).name));
   }
 
+  fsm::NetworkState net = fsm::initialNetworkState(dcu);
   for (int cycle = 0; cycle < maxCycles && !pendingRe.empty(); ++cycle) {
     // Datapath: each telescopic unit in a first execution cycle consults its
     // completion generator on the live operand values.
@@ -88,8 +60,9 @@ ExecutionResult execute(const fsm::DistributedControlUnit& dcu,
     for (std::size_t c = 0; c < n; ++c) {
       const fsm::UnitController& ctl = dcu.controllers[c];
       if (!ctl.telescopic) continue;
-      const ParsedState p = parseState(ctl.fsm.stateName(state[c]));
-      if (p.kind != 'S') continue;
+      const fsm::ParsedState p =
+          fsm::parseState(ctl.fsm.stateName(net.states[c]));
+      if (p.kind != 'S' || p.level != 0) continue;
       const NodeId op = ctl.ops[p.index];
       if (pendingRe.contains(fsm::registerEnableSignal(s.graph.node(op).name)) ==
           false) {
@@ -102,31 +75,9 @@ ExecutionResult execute(const fsm::DistributedControlUnit& dcu,
         external.insert(fsm::unitCompletionSignal(s.binding.unit(ctl.unitId)));
       }
     }
-    // Completion-pulse fixpoint (as in sim::runDistributed).
-    std::unordered_set<std::string> emitted;
-    for (int iter = 0;; ++iter) {
-      TAUHLS_ASSERT(iter < 4, "completion-pulse fixpoint did not converge");
-      std::unordered_set<std::string> next;
-      for (std::size_t c = 0; c < n; ++c) {
-        std::unordered_set<std::string> asserted = external;
-        asserted.insert(emitted.begin(), emitted.end());
-        asserted.insert(latches[c].begin(), latches[c].end());
-        const auto r = dcu.controllers[c].fsm.step(state[c], asserted);
-        for (const std::string& o : r.outputs) {
-          if (o.starts_with("CCO_")) next.insert(o);
-        }
-      }
-      if (next == emitted) break;
-      emitted = std::move(next);
-    }
-    // Commit: advance controllers; on RE_i latch the computed value.
-    for (std::size_t c = 0; c < n; ++c) {
-      std::unordered_set<std::string> asserted = external;
-      asserted.insert(emitted.begin(), emitted.end());
-      asserted.insert(latches[c].begin(), latches[c].end());
-      const auto r = dcu.controllers[c].fsm.step(state[c], asserted);
-      state[c] = r.nextState;
-      for (const std::string& o : r.outputs) {
+    // Clock the controllers; on RE_i latch the computed value.
+    for (const fsm::Transition* t : fsm::stepNetwork(dcu, net, external)) {
+      for (const std::string& o : t->outputs) {
         if (!o.starts_with("RE_")) continue;
         if (!pendingRe.erase(o)) continue;  // iteration-2 wrap: ignore
         const NodeId op = s.graph.findByName(o.substr(3));
@@ -134,9 +85,6 @@ ExecutionResult execute(const fsm::DistributedControlUnit& dcu,
         const auto [a, b] = fetch(op);
         result.values[op] = lib.compute(s.graph.node(op).kind, a, b);
         valueReady[op] = true;
-      }
-      for (const std::string& sig : dcu.controllers[c].latchedInputs) {
-        if (emitted.contains(sig)) latches[c].insert(sig);
       }
     }
     result.latencyCycles = cycle + 1;

@@ -1,11 +1,12 @@
 // Controller-driven, value-accurate datapath execution.
 //
-// Runs the generated distributed control unit cycle by cycle (same latch and
-// pulse semantics as sim::runDistributed) while a register-transfer datapath
-// executes underneath: while a controller sits in S_i, its unit computes
-// O_i's value from the producer registers; a telescopic unit raises C_<unit>
-// exactly when the completion generator certifies the current operands; on
-// the completing transition (RE_i) the result is latched into O_i's register.
+// Runs the generated distributed control unit cycle by cycle (clocked by
+// fsm::stepNetwork, like sim::runDistributed) while a register-transfer
+// datapath executes underneath: while a controller sits in S_i, its unit
+// computes O_i's value from the producer registers; a telescopic unit raises
+// C_<unit> exactly when the completion generator certifies the current
+// operands; on the completing transition (RE_i) the result is latched into
+// O_i's register.
 //
 // Integration properties (tests/test_datapath.cpp):
 //   * every register ends up equal to the golden evaluateDfg value;

@@ -4,13 +4,6 @@
 
 namespace tauhls::fsm {
 
-bool GuardTerm::evaluate(const std::unordered_set<std::string>& asserted) const {
-  for (const auto& [signal, positive] : literals) {
-    if (asserted.contains(signal) != positive) return false;
-  }
-  return true;
-}
-
 Guard Guard::always() {
   Guard g;
   g.terms_.push_back(GuardTerm{});
@@ -71,10 +64,7 @@ Guard Guard::disjoin(const Guard& other) const {
 }
 
 bool Guard::evaluate(const std::unordered_set<std::string>& asserted) const {
-  for (const GuardTerm& t : terms_) {
-    if (t.evaluate(asserted)) return true;
-  }
-  return false;
+  return holds([&](const std::string& s) { return asserted.contains(s); });
 }
 
 std::vector<std::string> Guard::signals() const {

@@ -17,8 +17,14 @@ namespace tauhls::fsm {
 struct GuardTerm {
   std::map<std::string, bool> literals;
 
-  /// True when every literal matches (`asserted` holds the signals at 1).
-  bool evaluate(const std::unordered_set<std::string>& asserted) const;
+  /// True when every literal matches; `isAsserted(signal)` gives the inputs.
+  template <typename IsAsserted>
+  bool holds(const IsAsserted& isAsserted) const {
+    for (const auto& [signal, positive] : literals) {
+      if (isAsserted(signal) != positive) return false;
+    }
+    return true;
+  }
 
   friend bool operator==(const GuardTerm&, const GuardTerm&) = default;
 };
@@ -46,6 +52,14 @@ class Guard {
   Guard disjoin(const Guard& other) const;
 
   bool evaluate(const std::unordered_set<std::string>& asserted) const;
+  /// As evaluate, with `isAsserted(signal)` giving the inputs.
+  template <typename IsAsserted>
+  bool holds(const IsAsserted& isAsserted) const {
+    for (const GuardTerm& t : terms_) {
+      if (t.holds(isAsserted)) return true;
+    }
+    return false;
+  }
 
   /// All signal names referenced, sorted, deduped.
   std::vector<std::string> signals() const;

@@ -89,17 +89,9 @@ int Fsm::flipFlopCount() const {
 
 Fsm::StepResult Fsm::step(int state,
                           const std::unordered_set<std::string>& asserted) const {
-  const Transition* fired = nullptr;
-  for (const Transition* t : transitionsFrom(state)) {
-    if (t->guard.evaluate(asserted)) {
-      TAUHLS_CHECK(fired == nullptr,
-                   "nondeterministic step from state " + stateName(state));
-      fired = t;
-    }
-  }
-  TAUHLS_CHECK(fired != nullptr, "no transition fires from state " +
-                                     stateName(state) + " in " + name_);
-  return StepResult{fired->to, fired->outputs};
+  const Transition& t =
+      fire(state, [&](const std::string& s) { return asserted.contains(s); });
+  return StepResult{t.to, t.outputs};
 }
 
 void validateFsm(const Fsm& fsm) {

@@ -10,6 +10,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/error.hpp"
 #include "fsm/guard.hpp"
 
 namespace tauhls::fsm {
@@ -64,6 +65,20 @@ class Fsm {
   /// Execute one clock cycle from `state` with the given asserted inputs.
   /// Throws when zero or multiple transitions fire (ill-formed machine).
   StepResult step(int state, const std::unordered_set<std::string>& asserted) const;
+  /// The transition step() takes, with `isAsserted(signal)` giving the inputs.
+  template <typename IsAsserted>
+  const Transition& fire(int state, const IsAsserted& isAsserted) const {
+    const Transition* fired = nullptr;
+    for (const Transition& t : transitions_) {
+      if (t.from != state || !t.guard.holds(isAsserted)) continue;
+      TAUHLS_CHECK(fired == nullptr,
+                   "nondeterministic step from state " + stateName(state));
+      fired = &t;
+    }
+    TAUHLS_CHECK(fired != nullptr, "no transition fires from state " +
+                                       stateName(state) + " in " + name_);
+    return *fired;
+  }
 
  private:
   std::string name_;

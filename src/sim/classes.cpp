@@ -3,6 +3,7 @@
 #include <random>
 
 #include "common/error.hpp"
+#include "fsm/distributed.hpp"
 
 namespace tauhls::sim {
 
@@ -66,6 +67,54 @@ std::uint64_t randomClassMask(int n, double p, std::uint64_t seed) {
     if (sd(rng)) mask |= std::uint64_t{1} << i;
   }
   return mask;
+}
+
+LevelClasses allFastest(const sched::ScheduledDfg& s) {
+  return LevelClasses{std::vector<int>(s.graph.numNodes(), 0)};
+}
+
+LevelClasses allSlowest(const sched::ScheduledDfg& s,
+                        const tau::MultiLevelLibrary& overrides) {
+  LevelClasses c = allFastest(s);
+  for (dfg::NodeId v : s.graph.opIds()) {
+    c.levelOf[v] = fsm::levelsOfUnit(s, overrides, s.binding.unitOf(v)) - 1;
+  }
+  return c;
+}
+
+LevelClasses randomLevels(const sched::ScheduledDfg& s,
+                          const tau::MultiLevelLibrary& overrides,
+                          std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  LevelClasses c = allFastest(s);
+  for (dfg::NodeId v : s.graph.opIds()) {
+    const int unitId = s.binding.unitOf(v);
+    const dfg::ResourceClass cls = s.binding.unit(unitId).cls;
+    auto it = overrides.find(cls);
+    if (it != overrides.end()) {
+      std::discrete_distribution<int> d(it->second.levelProbabilities.begin(),
+                                        it->second.levelProbabilities.end());
+      c.levelOf[v] = d(rng);
+    } else if (s.unitIsTelescopic(unitId)) {
+      std::bernoulli_distribution slow(
+          1.0 - s.library.typeFor(cls).sdProbability);
+      c.levelOf[v] = slow(rng) ? 1 : 0;
+    }
+  }
+  return c;
+}
+
+LevelClasses levelsOf(const sched::ScheduledDfg& s,
+                      const OperandClasses& classes) {
+  TAUHLS_CHECK(classes.shortClass.size() == s.graph.numNodes(),
+               "operand-class vector size mismatch");
+  LevelClasses c = allFastest(s);
+  for (dfg::NodeId v : tauOps(s)) c.levelOf[v] = classes.isShort(v) ? 0 : 1;
+  return c;
+}
+
+dfg::DurationFn levelCycles(const LevelClasses& classes) {
+  return [&classes](dfg::NodeId v) { return classes.level(v) + 1; };
 }
 
 }  // namespace tauhls::sim

@@ -6,7 +6,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "dfg/analysis.hpp"
 #include "sched/scheduled_dfg.hpp"
+#include "tau/unit.hpp"
 
 namespace tauhls::sim {
 
@@ -45,5 +47,32 @@ void randomClasses(const sched::ScheduledDfg& s,
 /// op i is SD).  Draws the same mt19937_64(seed) Bernoulli sequence as
 /// randomClasses, so mask-native Monte-Carlo estimates match it bit-for-bit.
 std::uint64_t randomClassMask(int n, double p, std::uint64_t seed);
+
+/// Delay-level assignment for multi-level units (paper §6): level k of an
+/// op takes k+1 cycles; fixed-unit ops carry level 0.  SD/LD are levels 0/1.
+struct LevelClasses {
+  std::vector<int> levelOf;  ///< per node (indexed by NodeId)
+
+  int level(dfg::NodeId v) const { return levelOf[v]; }
+};
+
+/// Every op at its fastest / slowest level (levels per fsm::levelsOfUnit).
+LevelClasses allFastest(const sched::ScheduledDfg& s);
+LevelClasses allSlowest(const sched::ScheduledDfg& s,
+                        const tau::MultiLevelLibrary& overrides);
+
+/// Seeded sample: overridden classes draw from their level pmf, the other
+/// telescopic classes are LD with probability 1 - P.
+LevelClasses randomLevels(const sched::ScheduledDfg& s,
+                          const tau::MultiLevelLibrary& overrides,
+                          std::uint64_t seed);
+
+/// The two-level classes as levels (LD TAU ops at level 1, the rest 0).
+LevelClasses levelsOf(const sched::ScheduledDfg& s,
+                      const OperandClasses& classes);
+
+/// Op durations under `classes` (level k => k+1 cycles), for the makespans;
+/// the function refers to `classes`, which must outlive it.
+dfg::DurationFn levelCycles(const LevelClasses& classes);
 
 }  // namespace tauhls::sim

@@ -1,7 +1,8 @@
 // FSM-level interpretation: execute the *generated controllers themselves*
-// cycle by cycle, with completion-signal exchange and sticky completion
-// latches, against a datapath model that raises each telescopic unit's C
-// exactly when the op it is executing has SD-class operands.
+// cycle by cycle (clocked by fsm::stepNetwork: completion-signal exchange and
+// sticky completion latches), against a datapath model that raises each
+// telescopic unit's C exactly when the op it is executing completes in the
+// current level (the first cycle of an SD-class op, for two-level units).
 //
 // This is the ground truth the abstract makespan engines are validated
 // against (integration property: FSM latency == abstract makespan for every
@@ -32,7 +33,13 @@ struct SimTrace {
   int firstCycle(const std::string& signal) const;
 };
 
-/// Run the distributed control unit for one DFG iteration.
+/// Run the distributed control unit for one DFG iteration, clocking the
+/// network with fsm::stepNetwork.  A unit raises its C in execution level
+/// k < L-1 exactly when its op's level is k; the OperandClasses overload is
+/// the two-level case (C in the first cycle of an SD op).
+SimTrace runDistributed(const fsm::DistributedControlUnit& dcu,
+                        const sched::ScheduledDfg& s,
+                        const LevelClasses& classes, int maxCycles = 100000);
 SimTrace runDistributed(const fsm::DistributedControlUnit& dcu,
                         const sched::ScheduledDfg& s,
                         const OperandClasses& classes, int maxCycles = 100000);

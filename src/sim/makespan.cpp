@@ -13,10 +13,20 @@ namespace tauhls::sim {
 
 using dfg::NodeId;
 
-std::vector<int> distributedFinishCycles(const sched::ScheduledDfg& s,
-                                         const OperandClasses& classes) {
+namespace {
+
+/// Two-level durations: the SD/LD cycle count of each op's unit type.
+dfg::DurationFn classCycles(const sched::ScheduledDfg& s,
+                            const OperandClasses& classes) {
   TAUHLS_CHECK(classes.shortClass.size() == s.graph.numNodes(),
                "operand-class vector size mismatch");
+  return [&s, &classes](NodeId v) { return s.opCycles(v, classes.isShort(v)); };
+}
+
+}  // namespace
+
+std::vector<int> distributedFinishCycles(const sched::ScheduledDfg& s,
+                                         const dfg::DurationFn& cycles) {
   std::vector<int> finish(s.graph.numNodes(), -1);
 
   // Previous op on the same unit.
@@ -39,30 +49,45 @@ std::vector<int> distributedFinishCycles(const sched::ScheduledDfg& s,
                     "unit sequence out of topological order");
       start = std::max(start, finish[prevOnUnit[v]] + 1);
     }
-    finish[v] = start + s.opCycles(v, classes.isShort(v)) - 1;
+    finish[v] = start + cycles(v) - 1;
   }
   return finish;
 }
 
+std::vector<int> distributedFinishCycles(const sched::ScheduledDfg& s,
+                                         const OperandClasses& classes) {
+  return distributedFinishCycles(s, classCycles(s, classes));
+}
+
 int distributedMakespanCycles(const sched::ScheduledDfg& s,
-                              const OperandClasses& classes) {
-  const std::vector<int> finish = distributedFinishCycles(s, classes);
+                              const dfg::DurationFn& cycles) {
+  const std::vector<int> finish = distributedFinishCycles(s, cycles);
   int last = -1;
   for (NodeId v : s.graph.opIds()) last = std::max(last, finish[v]);
   return last + 1;
+}
+
+int distributedMakespanCycles(const sched::ScheduledDfg& s,
+                              const OperandClasses& classes) {
+  return distributedMakespanCycles(s, classCycles(s, classes));
+}
+
+int syncMakespanCycles(const sched::ScheduledDfg& s,
+                       const dfg::DurationFn& cycles) {
+  int total = 0;
+  for (const sched::TaubmStep& step : s.taubm.steps) {
+    int duration = 1;
+    for (NodeId v : step.ops) duration = std::max(duration, cycles(v));
+    total += duration;
+  }
+  return total;
 }
 
 int syncMakespanCycles(const sched::ScheduledDfg& s,
                        const OperandClasses& classes) {
   TAUHLS_CHECK(classes.shortClass.size() == s.graph.numNodes(),
                "operand-class vector size mismatch");
-  int cycles = 0;
-  for (const sched::TaubmStep& step : s.taubm.steps) {
-    bool anyLong = false;
-    for (NodeId v : step.tauOps) anyLong |= !classes.isShort(v);
-    cycles += anyLong ? 2 : 1;
-  }
-  return cycles;
+  return syncMakespanCycles(s, levelCycles(levelsOf(s, classes)));
 }
 
 MakespanEngine::MakespanEngine(const sched::ScheduledDfg& s) {

@@ -7,25 +7,35 @@
 //    step -- a split step costs 2 cycles as soon as *any* of its TAU ops is
 //    in the LD class (paper §2.3 problem 1), 1 otherwise.
 //
-// Both engines are cross-checked against FSM-level interpretation in
-// tests/test_sim.cpp.
+// Both take the per-op durations as a function; the OperandClasses overloads
+// are the paper's two-level case, sim::levelCycles the multi-level one.  Both
+// engines are cross-checked against FSM-level interpretation in
+// tests/test_sim.cpp and tests/test_vcau.cpp.
 #pragma once
 
 #include "sim/classes.hpp"
 
 namespace tauhls::sim {
 
+/// Per-op finish cycles of the distributed schedule when op v occupies its
+/// unit for cycles(v) cycles (diagnostics/Gantt).
+std::vector<int> distributedFinishCycles(const sched::ScheduledDfg& s,
+                                         const dfg::DurationFn& cycles);
+std::vector<int> distributedFinishCycles(const sched::ScheduledDfg& s,
+                                         const OperandClasses& classes);
+
 /// Makespan (clock cycles) of one iteration under the distributed controllers.
+int distributedMakespanCycles(const sched::ScheduledDfg& s,
+                              const dfg::DurationFn& cycles);
 int distributedMakespanCycles(const sched::ScheduledDfg& s,
                               const OperandClasses& classes);
 
-/// Makespan (clock cycles) under the synchronized centralized baseline.
+/// Makespan (clock cycles) under the synchronized centralized baseline: each
+/// TAUBM step costs the longest cycles(v) among its ops (at least 1).
+int syncMakespanCycles(const sched::ScheduledDfg& s,
+                       const dfg::DurationFn& cycles);
 int syncMakespanCycles(const sched::ScheduledDfg& s,
                        const OperandClasses& classes);
-
-/// Per-op finish cycles of the distributed schedule (diagnostics/Gantt).
-std::vector<int> distributedFinishCycles(const sched::ScheduledDfg& s,
-                                         const OperandClasses& classes);
 
 /// Precomputed evaluation context for the latency-statistics kernels.
 ///

@@ -1,5 +1,6 @@
 #include "sim/stats.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <memory>
@@ -509,6 +510,137 @@ LatencyComparison compareLatencies(const sched::ScheduledDfg& s,
                                                : 0.0);
   }
   return out;
+}
+
+int makespanCycles(const sched::ScheduledDfg& s, ControlStyle style,
+                   const LevelClasses& classes) {
+  return style == ControlStyle::Distributed
+             ? distributedMakespanCycles(s, levelCycles(classes))
+             : syncMakespanCycles(s, levelCycles(classes));
+}
+
+namespace {
+
+/// An op with more than one possible level, with its level pmf.
+struct VariableOp {
+  dfg::NodeId op;
+  std::vector<double> probs;
+};
+
+std::vector<VariableOp> variableOps(const sched::ScheduledDfg& s,
+                                    const tau::MultiLevelLibrary& overrides) {
+  std::vector<VariableOp> out;
+  for (dfg::NodeId v : s.graph.opIds()) {
+    const int unitId = s.binding.unitOf(v);
+    const dfg::ResourceClass cls = s.binding.unit(unitId).cls;
+    auto it = overrides.find(cls);
+    if (it != overrides.end()) {
+      if (it->second.numLevels() > 1) {
+        out.push_back({v, it->second.levelProbabilities});
+      }
+    } else if (s.unitIsTelescopic(unitId)) {
+      const double p = s.library.typeFor(cls).sdProbability;
+      out.push_back({v, {p, 1.0 - p}});
+    }
+  }
+  return out;
+}
+
+double assignmentSpace(const std::vector<VariableOp>& vars) {
+  double space = 1.0;
+  for (const VariableOp& v : vars) space *= static_cast<double>(v.probs.size());
+  return space;
+}
+
+}  // namespace
+
+double averageCyclesExact(const sched::ScheduledDfg& s,
+                          const tau::MultiLevelLibrary& overrides,
+                          ControlStyle style) {
+  const std::vector<VariableOp> vars = variableOps(s, overrides);
+  const double space = assignmentSpace(vars);
+  TAUHLS_CHECK(space <= (1 << 20),
+               "exact enumeration space too large; use Monte-Carlo");
+  const auto total = static_cast<std::uint64_t>(space);
+
+  // The mixed-radix odometer (digit 0 fastest) is a bijection between linear
+  // indices [0, total) and level assignments, so the space splits into a
+  // fixed chunk grid of contiguous index ranges.  Within a chunk the
+  // assignment weight is maintained via suffix products (weight = suffix[0];
+  // an increment at digit `pos` only refreshes suffix[pos..0]).
+  const std::uint64_t numChunks = common::chunkCountFor(total);
+  const std::uint64_t chunkSize = (total + numChunks - 1) / numChunks;
+  return common::parallelReduce<double>(
+      static_cast<std::size_t>(numChunks), 0.0,
+      [&](std::size_t chunk) {
+        const std::uint64_t begin = chunk * chunkSize;
+        const std::uint64_t end = std::min(begin + chunkSize, total);
+        if (begin >= end) return 0.0;
+
+        LevelClasses classes = allFastest(s);
+        std::vector<std::size_t> choice(vars.size(), 0);
+        // Decode the chunk's first linear index into odometer digits.
+        std::uint64_t rem = begin;
+        for (std::size_t i = 0; i < vars.size(); ++i) {
+          const std::uint64_t radix = vars[i].probs.size();
+          choice[i] = static_cast<std::size_t>(rem % radix);
+          rem /= radix;
+          classes.levelOf[vars[i].op] = static_cast<int>(choice[i]);
+        }
+        // suffix[i] = product of probs[j][choice[j]] for j >= i.
+        std::vector<double> suffix(vars.size() + 1, 1.0);
+        for (std::size_t i = vars.size(); i-- > 0;) {
+          suffix[i] = vars[i].probs[choice[i]] * suffix[i + 1];
+        }
+
+        double partial = 0.0;
+        for (std::uint64_t idx = begin; idx < end; ++idx) {
+          const double weight = suffix.front();
+          if (weight > 0.0) {
+            partial += weight * makespanCycles(s, style, classes);
+          }
+          // Increment digit 0, carrying into higher digits on wrap.
+          std::size_t pos = 0;
+          while (pos < vars.size()) {
+            if (++choice[pos] < vars[pos].probs.size()) break;
+            choice[pos] = 0;
+            ++pos;
+          }
+          if (pos == vars.size()) break;
+          classes.levelOf[vars[pos].op] = static_cast<int>(choice[pos]);
+          for (std::size_t i = 0; i < pos; ++i) {
+            classes.levelOf[vars[i].op] = 0;
+          }
+          for (std::size_t i = pos + 1; i-- > 0;) {
+            suffix[i] = vars[i].probs[choice[i]] * suffix[i + 1];
+          }
+        }
+        return partial;
+      },
+      [](double acc, double p) { return acc + p; });
+}
+
+double averageCyclesMonteCarlo(const sched::ScheduledDfg& s,
+                               const tau::MultiLevelLibrary& overrides,
+                               ControlStyle style, int samples,
+                               std::uint64_t seed) {
+  TAUHLS_CHECK(samples > 0, "need at least one sample");
+  double sum = 0.0;
+  for (int i = 0; i < samples; ++i) {
+    sum += makespanCycles(
+        s, style,
+        randomLevels(s, overrides, seed + static_cast<std::uint64_t>(i)));
+  }
+  return sum / samples;
+}
+
+double averageCycles(const sched::ScheduledDfg& s,
+                     const tau::MultiLevelLibrary& overrides,
+                     ControlStyle style, int mcSamples) {
+  if (assignmentSpace(variableOps(s, overrides)) <= (1 << 20)) {
+    return averageCyclesExact(s, overrides, style);
+  }
+  return averageCyclesMonteCarlo(s, overrides, style, mcSamples);
 }
 
 }  // namespace tauhls::sim

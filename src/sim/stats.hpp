@@ -156,4 +156,32 @@ LatencyComparison compareLatencies(const sched::ScheduledDfg& s,
                                    const LatencyOptions& options,
                                    std::vector<McEstimate>* mcInfo = nullptr);
 
+// --- multi-level units (paper §6) ---------------------------------------
+// Level statistics over `overrides` (tau::MultiLevelLibrary): every op draws
+// its level from its class's pmf (two-level TAU classes: SD with P).  The
+// exact mixed-radix enumeration runs over a fixed chunk grid with partials
+// folded in chunk order, so results are bit-identical for any thread count.
+
+/// Makespan in cycles under `style` for a level assignment.
+int makespanCycles(const sched::ScheduledDfg& s, ControlStyle style,
+                   const LevelClasses& classes);
+
+/// Exact expected makespan (cycles); the assignment space (product of the
+/// variable ops' level counts) must fit 2^20.
+double averageCyclesExact(const sched::ScheduledDfg& s,
+                          const tau::MultiLevelLibrary& overrides,
+                          ControlStyle style);
+
+/// Monte-Carlo expectation over randomLevels(s, overrides, seed + i).
+double averageCyclesMonteCarlo(const sched::ScheduledDfg& s,
+                               const tau::MultiLevelLibrary& overrides,
+                               ControlStyle style, int samples,
+                               std::uint64_t seed = 1);
+
+/// Exact when the assignment space fits 2^20, else Monte-Carlo with
+/// `mcSamples` samples.
+double averageCycles(const sched::ScheduledDfg& s,
+                     const tau::MultiLevelLibrary& overrides,
+                     ControlStyle style, int mcSamples = 20000);
+
 }  // namespace tauhls::sim

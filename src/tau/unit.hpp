@@ -8,7 +8,9 @@
 // `sdProbability` P -- the paper's key workload parameter.
 #pragma once
 
+#include <map>
 #include <string>
+#include <vector>
 
 #include "dfg/op.hpp"
 
@@ -36,5 +38,32 @@ UnitType telescopicUnit(std::string name, dfg::ResourceClass cls, double sdNs,
 /// Validate invariants (positive delays, SD <= LD, P in [0,1], class set);
 /// throws tauhls::Error on violation.
 void validateUnitType(const UnitType& type);
+
+/// Multi-level variable-computation-time unit (the paper's §6 "other kinds
+/// of synchronous VCAUs"): level k completes within k+1 clock cycles and its
+/// completion generator raises C in cycle k exactly for level-k operands.
+/// The two-level TAU is the L = 2 case.
+struct MultiLevelUnitType {
+  std::string name;
+  dfg::ResourceClass cls = dfg::ResourceClass::None;
+  std::vector<double> levelDelaysNs;       ///< strictly increasing
+  std::vector<double> levelProbabilities;  ///< P(level k); sums to 1
+
+  int numLevels() const { return static_cast<int>(levelDelaysNs.size()); }
+};
+
+/// Per-class override of a schedule's unit types; absent classes keep their
+/// two-level / fixed UnitType.
+using MultiLevelLibrary = std::map<dfg::ResourceClass, MultiLevelUnitType>;
+
+/// Build and validate a multi-level unit type.
+MultiLevelUnitType multiLevelUnit(std::string name, dfg::ResourceClass cls,
+                                  std::vector<double> levelDelaysNs,
+                                  std::vector<double> levelProbabilities);
+
+/// Validate invariants; with `clockNs` > 0 also require level k to take
+/// exactly k+1 cycles of that clock.
+void validateMultiLevelUnit(const MultiLevelUnitType& type,
+                            double clockNs = 0.0);
 
 }  // namespace tauhls::tau

@@ -167,8 +167,8 @@ std::map<std::string, Lit> emitIterate(Network& net,
   return out;
 }
 
-/// Builds the three product phases as template cones, mirroring
-/// fsm::buildProduct: four emission iterates (the product's convergence
+/// Builds the three network-step phases as template cones, mirroring
+/// fsm::stepNetwork: four emission iterates (the stepper's convergence
 /// budget), priority-encoded transition firing under the final iterate, and
 /// sticky latch updates.
 StepCones buildStep(Network& net, const OpTable& table, bool extTrue) {

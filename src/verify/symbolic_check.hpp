@@ -7,10 +7,11 @@
 // controller, one sticky bit per (controller, latched completion signal), one
 // fired-monitor bit per operation, and the unit completion inputs C_T as free
 // per-cycle variables.  The transition cones mirror the three phases of
-// fsm::buildProduct literally -- the emitted-pulse fixpoint (iterated four
-// times, matching the product's convergence budget), priority-encoded
-// transition firing, and sticky latch updates -- so both engines explore the
-// same behaviour and must agree on every verdict.
+// fsm::stepNetwork (the network clock fsm::buildProduct explores) literally
+// -- the emitted-pulse fixpoint (iterated four times, matching the stepper's
+// convergence budget), priority-encoded transition firing, and sticky latch
+// updates -- so both engines explore the same behaviour and must agree on
+// every verdict.
 //
 // The MDL001-MDL005 analogues are checked as safety properties:
 //

@@ -150,22 +150,22 @@ TEST_P(EngineProperty, GoldenEquivalenceOnRandomGraphs) {
   dfg::RandomDfgSpec spec;
   spec.seed = GetParam() * 1009;
   spec.numOps = 6 + static_cast<int>(GetParam() % 10);
-  dfg::Dfg g = dfg::randomDfg(spec);
-  auto s = sched::scheduleAndBind(g,
-                                  Allocation{{ResourceClass::Multiplier, 2},
-                                             {ResourceClass::Adder, 1},
-                                             {ResourceClass::Subtractor, 1}},
-                                  tau::paperLibrary());
-  fsm::DistributedControlUnit dcu = fsm::buildDistributed(s);
   const BitLevelLibrary lib(16, 18);
-  const auto inputs = randomInputs(s.graph, 16, GetParam(), GetParam() % 2 == 0);
-  const ExecutionResult r = execute(dcu, s, inputs, lib);
-  const auto golden = evaluateDfg(s.graph, inputs, 16);
-  for (NodeId v : s.graph.opIds()) {
-    EXPECT_EQ(r.values[v], golden[v]) << s.graph.node(v).name;
+  for (const sched::ScheduledDfg& s :
+       test::propertySchedules(spec, tau::paperLibrary())) {
+    fsm::DistributedControlUnit dcu = fsm::buildDistributed(s);
+    const auto inputs =
+        randomInputs(s.graph, 16, GetParam(), GetParam() % 2 == 0);
+    const ExecutionResult r = execute(dcu, s, inputs, lib);
+    const auto golden = evaluateDfg(s.graph, inputs, 16);
+    for (NodeId v : s.graph.opIds()) {
+      EXPECT_EQ(r.values[v], golden[v])
+          << s.graph.name() << " " << s.graph.node(v).name;
+    }
+    EXPECT_EQ(r.latencyCycles,
+              sim::distributedMakespanCycles(s, r.realizedClasses))
+        << s.graph.name() << " units=" << s.binding.numUnits();
   }
-  EXPECT_EQ(r.latencyCycles,
-            sim::distributedMakespanCycles(s, r.realizedClasses));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineProperty,

@@ -229,18 +229,18 @@ TEST_P(InterpProperty, FsmLatencyEqualsAbstractOnRandomGraphsAndClasses) {
   dfg::RandomDfgSpec spec;
   spec.seed = GetParam() * 7919;
   spec.numOps = 6 + static_cast<int>(GetParam() % 12);
-  dfg::Dfg g = dfg::randomDfg(spec);
-  ScheduledDfg s = sched::scheduleAndBind(
-      g, Allocation{{ResourceClass::Multiplier, 2}, {ResourceClass::Adder, 1},
-                    {ResourceClass::Subtractor, 1}},
-      tau::paperLibrary());
-  fsm::DistributedControlUnit dcu = fsm::buildDistributed(s);
-  fsm::Fsm sync = fsm::buildCentSync(s);
-  for (std::uint64_t trial = 0; trial < 12; ++trial) {
-    OperandClasses c = randomClasses(s, 0.6, GetParam() * 100 + trial);
-    EXPECT_EQ(runDistributed(dcu, s, c).latencyCycles,
-              distributedMakespanCycles(s, c));
-    EXPECT_EQ(runCentSync(sync, s, c).latencyCycles, syncMakespanCycles(s, c));
+  for (const ScheduledDfg& s :
+       test::propertySchedules(spec, tau::paperLibrary())) {
+    fsm::DistributedControlUnit dcu = fsm::buildDistributed(s);
+    fsm::Fsm sync = fsm::buildCentSync(s);
+    for (std::uint64_t trial = 0; trial < 12; ++trial) {
+      OperandClasses c = randomClasses(s, 0.6, GetParam() * 100 + trial);
+      EXPECT_EQ(runDistributed(dcu, s, c).latencyCycles,
+                distributedMakespanCycles(s, c))
+          << s.graph.name() << " units=" << s.binding.numUnits();
+      EXPECT_EQ(runCentSync(sync, s, c).latencyCycles, syncMakespanCycles(s, c))
+          << s.graph.name() << " units=" << s.binding.numUnits();
+    }
   }
 }
 
@@ -248,14 +248,13 @@ TEST_P(InterpProperty, ProductBehaviourallyEquivalentToDistributed) {
   dfg::RandomDfgSpec spec;
   spec.seed = GetParam() * 104729;
   spec.numOps = 5 + static_cast<int>(GetParam() % 6);
-  dfg::Dfg g = dfg::randomDfg(spec);
-  ScheduledDfg s = sched::scheduleAndBind(
-      g, Allocation{{ResourceClass::Multiplier, 2}, {ResourceClass::Adder, 1},
-                    {ResourceClass::Subtractor, 1}},
-      tau::paperLibrary());
-  fsm::DistributedControlUnit dcu = fsm::buildDistributed(s);
-  fsm::Fsm product = fsm::buildProduct(dcu);
-  EXPECT_EQ(compareProductToDistributed(dcu, product, GetParam(), 6, 40), -1);
+  for (const ScheduledDfg& s :
+       test::propertySchedules(spec, tau::paperLibrary())) {
+    fsm::DistributedControlUnit dcu = fsm::buildDistributed(s);
+    fsm::Fsm product = fsm::buildProduct(dcu);
+    EXPECT_EQ(compareProductToDistributed(dcu, product, GetParam(), 6, 40), -1)
+        << s.graph.name() << " units=" << s.binding.numUnits();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InterpProperty,

@@ -63,4 +63,23 @@ Dfg parallelMuls(int n) {
   return g;
 }
 
+std::vector<sched::ScheduledDfg> propertySchedules(
+    const dfg::RandomDfgSpec& spec, const tau::ResourceLibrary& lib) {
+  dfg::RandomDfgSpec layered = spec;
+  layered.numLayers = 2 + static_cast<int>(spec.seed % 2);
+  layered.layerWidth = 2 + static_cast<int>(spec.seed % 3);
+  const sched::Allocation alloc{{dfg::ResourceClass::Multiplier, 2},
+                                {dfg::ResourceClass::Adder, 1},
+                                {dfg::ResourceClass::Subtractor, 1}};
+  std::vector<sched::ScheduledDfg> out;
+  for (const dfg::RandomDfgSpec& shape : {spec, layered}) {
+    const Dfg g = dfg::randomDfg(shape);
+    for (auto strategy : {sched::BindingStrategy::LeftEdge,
+                          sched::BindingStrategy::CliqueCover}) {
+      out.push_back(sched::scheduleAndBind(g, alloc, lib, strategy));
+    }
+  }
+  return out;
+}
+
 }  // namespace tauhls::test

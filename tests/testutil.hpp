@@ -5,6 +5,8 @@
 #include <vector>
 
 #include "dfg/graph.hpp"
+#include "dfg/random.hpp"
+#include "sched/scheduled_dfg.hpp"
 
 namespace tauhls::test {
 
@@ -24,5 +26,12 @@ dfg::Dfg mulChain(int n);
 
 /// `n` independent multiplications (maximal concurrency).
 dfg::Dfg parallelMuls(int n);
+
+/// The schedules the engine-agreement properties sweep for one spec:
+/// randomDfg(spec) and a layered graph of 2-3 ranks of 2-4 ops drawn from the
+/// same seed, each bound by left-edge and by clique cover (2 multipliers,
+/// 1 adder, 1 subtractor).
+std::vector<sched::ScheduledDfg> propertySchedules(
+    const dfg::RandomDfgSpec& spec, const tau::ResourceLibrary& lib);
 
 }  // namespace tauhls::test
