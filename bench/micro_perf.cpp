@@ -94,7 +94,7 @@ sched::ScheduledDfg fir5Scheduled() {
 // P column {0.9, 0.7, 0.5}, single thread: the brute-force reference
 // re-evaluates every mask from scratch per P with per-mask pow() weights and
 // a heap-allocated class vector; the production path enumerates the masks
-// once by Gray-code delta propagation and reweights the shared buffer per P
+// once by Gray-code delta propagation and reweights each chunk for every P
 // from the popcount weight table.  The ratio of these two is the
 // single-thread algorithmic speedup of this kernel.
 void BM_NaiveExactAverageFir5(benchmark::State& state) {

@@ -13,9 +13,12 @@
 // The thread count comes from the TAUHLS_THREADS environment variable
 // (clamped to >= 1) and defaults to std::thread::hardware_concurrency();
 // the tauhlsc `--threads` flag overrides both via setGlobalThreadCount.
-// Nested parallel regions (a parallelFor issued from inside a worker) run
-// inline on the calling worker, so composed sweeps neither deadlock nor
-// oversubscribe.
+// Nested parallel regions (a parallelFor issued from inside a task) queue
+// helpers on the same pool like a top-level region does, so a sweep inside
+// a pipeline pass spreads over the idle lanes without spawning threads.
+// Once a region is drained its caller withdraws the helpers that have not
+// started, so no lane waits on a queued helper and nesting cannot deadlock;
+// while it waits for the helpers that have, it runs other queued helpers.
 #pragma once
 
 #include <cstddef>
@@ -45,7 +48,7 @@ class ThreadPool {
   /// Invoke fn(i) for every i in [0, numTasks), each index exactly once.
   /// Blocks until all tasks finish.  The first exception thrown by a task is
   /// rethrown here after the region drains (remaining tasks are skipped).
-  /// Calls issued from inside a worker run the whole region inline.
+  /// Calls issued from inside a task queue helpers like top-level calls.
   void forEach(std::size_t numTasks,
                const std::function<void(std::size_t)>& fn);
 

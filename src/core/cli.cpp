@@ -80,7 +80,8 @@ std::string cliHelp() {
       "                    (lookup order: memory, disk, recompute)\n"
       "  --store-max-bytes N  size bound for DIR; least-recently-used blobs\n"
       "                    are evicted first (default 0 = unbounded)\n"
-      "  --threads N       worker threads for the latency sweeps (default:\n"
+      "  --threads N       worker threads for the pipeline passes and the\n"
+      "                    parallel kernels inside them (default:\n"
       "                    TAUHLS_THREADS env var, else all hardware threads;\n"
       "                    results are identical for every N)\n"
       "  --help            this text\n"

@@ -251,7 +251,8 @@ std::string traceToChromeJson(const std::vector<TracedRun>& runs);
 /// The graph reference must outlive the pipeline.  Artifacts are memoized in
 /// the pipeline and, when a cache is attached, shared across pipelines whose
 /// derivations agree.  All methods are safe to call from inside a
-/// parallelFor task (nested parallel regions run inline).
+/// parallelFor task; the parallel kernels inside a pass share the global
+/// pool with the pass wave that runs it.
 class FlowPipeline {
  public:
   FlowPipeline(const dfg::Dfg& graph, FlowConfig config,

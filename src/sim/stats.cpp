@@ -87,46 +87,73 @@ double weightedRangeSum(const int* cycles, std::uint64_t base,
   return partial;
 }
 
-double distributedAverageExact(const MakespanEngine& engine, double p) {
+// Expected Distributed makespan for every P in `ps`.  A mask's makespan
+// does not depend on P, so each chunk of the fixed grid (a function of n
+// only) is evaluated once into the worker's scratch and reweighted for every
+// P while it is hot.  Each P's partials are then folded in chunk order, so an
+// entry depends neither on the thread count nor on the other P values.
+std::vector<double> distributedAverageExact(const MakespanEngine& engine,
+                                            const std::vector<double>& ps) {
   const int n = engine.numTauOps();
   TAUHLS_CHECK(n <= kMaxExactTauOps,
                "exact enumeration limited to 24 TAU ops; use "
                "averageCyclesMonteCarlo");
-  // Degenerate P: a single mask carries all the weight.
-  if (p == 1.0) return engine.bestDistributedCycles();
-  if (p == 0.0) return engine.worstDistributedCycles();
+  std::vector<double> out(ps.size());
+  std::vector<std::size_t> swept;  // entries that need the enumeration
+  std::vector<std::vector<double>> weights;
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    const double p = ps[i];
+    TAUHLS_CHECK(p >= 0.0 && p <= 1.0, "P must lie in [0,1]");
+    // Degenerate P: a single mask carries all the weight.
+    if (p == 1.0) {
+      out[i] = engine.bestDistributedCycles();
+    } else if (p == 0.0) {
+      out[i] = engine.worstDistributedCycles();
+    } else {
+      swept.push_back(i);
+      popcountWeights(n, p, weights.emplace_back());
+    }
+  }
+  if (swept.empty()) return out;
 
   const std::uint64_t total = std::uint64_t{1} << n;
-  std::vector<double> weights;
-  popcountWeights(n, p, weights);
   if (total <= 256) {
-    // Small designs fit one Gray-code walk; ascending-order accumulation of
-    // single-mask terms matches the reference's one-mask-per-chunk fold
-    // exactly (every term is a single rounded product).
+    // Small designs fit one Gray-code walk.  Their grid has one mask per
+    // chunk, so the ascending-order sum over the walk is the chunk-order
+    // fold exactly (every term is a single rounded product).
     MakespanEngine::DistributedSweep sweep(engine);
     int cycles[256];
     sweep.evalChunk(0, total, cycles);
-    return weightedRangeSum(cycles, 0, total, weights);
+    for (std::size_t k = 0; k < swept.size(); ++k) {
+      out[swept[k]] = weightedRangeSum(cycles, 0, total, weights[k]);
+    }
+    return out;
   }
-  // Fixed chunk grid (function of n only): contiguous mask ranges whose
-  // partial expectations are folded in index order, so the result is
-  // bit-identical for every thread count.
   const std::uint64_t numChunks = common::chunkCountFor(total);
   const std::uint64_t chunkSize = total / numChunks;  // both are powers of 2
+  const std::size_t numSwept = swept.size();
+  std::vector<double> partials(static_cast<std::size_t>(numChunks) * numSwept);
   ScratchPool pool(engine);
-  return common::parallelReduce<double>(
-      static_cast<std::size_t>(numChunks), 0.0,
-      [&](std::size_t chunk) {
+  common::parallelFor(
+      static_cast<std::size_t>(numChunks), [&](std::size_t chunk) {
         std::unique_ptr<SweepScratch> scratch = pool.acquire();
         scratch->cycles.resize(chunkSize);
         const std::uint64_t begin = chunk * chunkSize;
         scratch->sweep.evalChunk(begin, chunkSize, scratch->cycles.data());
-        const double partial =
-            weightedRangeSum(scratch->cycles.data(), begin, chunkSize, weights);
+        for (std::size_t k = 0; k < numSwept; ++k) {
+          partials[chunk * numSwept + k] = weightedRangeSum(
+              scratch->cycles.data(), begin, chunkSize, weights[k]);
+        }
         pool.release(std::move(scratch));
-        return partial;
-      },
-      [](double acc, double partial) { return acc + partial; });
+      });
+  for (std::size_t k = 0; k < numSwept; ++k) {
+    double acc = 0.0;
+    for (std::size_t chunk = 0; chunk < numChunks; ++chunk) {
+      acc += partials[chunk * numSwept + k];
+    }
+    out[swept[k]] = acc;
+  }
+  return out;
 }
 
 }  // namespace
@@ -167,78 +194,20 @@ double averageCyclesExact(const sched::ScheduledDfg& s,
   (void)s;
   TAUHLS_CHECK(p >= 0.0 && p <= 1.0, "P must lie in [0,1]");
   if (style == ControlStyle::CentSync) return engine.syncExpectedCycles(p);
-  return distributedAverageExact(engine, p);
+  return distributedAverageExact(engine, {p}).front();
 }
 
 std::vector<double> averageCyclesExactSweep(const sched::ScheduledDfg& s,
                                             const MakespanEngine& engine,
                                             ControlStyle style,
                                             const std::vector<double>& ps) {
+  (void)s;
+  if (style == ControlStyle::Distributed) {
+    return distributedAverageExact(engine, ps);
+  }
   std::vector<double> out(ps.size());
-  if (style == ControlStyle::CentSync) {
-    for (std::size_t i = 0; i < ps.size(); ++i) {
-      out[i] = engine.syncExpectedCycles(ps[i]);
-    }
-    return out;
-  }
-  const int n = engine.numTauOps();
-  TAUHLS_CHECK(n <= kMaxExactTauOps,
-               "exact enumeration limited to 24 TAU ops; use "
-               "averageCyclesMonteCarlo");
-  const std::uint64_t total = std::uint64_t{1} << n;
-  if (total > (std::uint64_t{1} << 20)) {
-    // Buffering 2^n makespans would cost tens of MB; enumerate per P.
-    for (std::size_t i = 0; i < ps.size(); ++i) {
-      out[i] = averageCyclesExact(s, engine, style, ps[i]);
-    }
-    return out;
-  }
-  // Distributed makespans do not depend on P: enumerate them once, then
-  // reweight the same buffer for every requested P.  Accumulation reuses the
-  // per-P chunk grid and fold order, so each entry is bit-identical to a
-  // standalone averageCyclesExact call.
-  std::vector<int> cycles(static_cast<std::size_t>(total));
-  const std::uint64_t numChunks = common::chunkCountFor(total);
-  const std::uint64_t chunkSize = total / numChunks;
-  if (total <= 256) {
-    MakespanEngine::DistributedSweep sweep(engine);
-    sweep.evalChunk(0, total, cycles.data());
-  } else {
-    ScratchPool pool(engine);
-    common::parallelFor(static_cast<std::size_t>(numChunks),
-                        [&](std::size_t chunk) {
-                          std::unique_ptr<SweepScratch> scratch = pool.acquire();
-                          const std::uint64_t begin = chunk * chunkSize;
-                          scratch->sweep.evalChunk(begin, chunkSize,
-                                                   cycles.data() + begin);
-                          pool.release(std::move(scratch));
-                        });
-  }
-  std::vector<double> weights;  // reused across the P entries
   for (std::size_t i = 0; i < ps.size(); ++i) {
-    const double p = ps[i];
-    TAUHLS_CHECK(p >= 0.0 && p <= 1.0, "P must lie in [0,1]");
-    if (p == 1.0) {
-      out[i] = engine.bestDistributedCycles();
-      continue;
-    }
-    if (p == 0.0) {
-      out[i] = engine.worstDistributedCycles();
-      continue;
-    }
-    popcountWeights(n, p, weights);
-    if (total <= 256) {
-      out[i] = weightedRangeSum(cycles.data(), 0, total, weights);
-    } else {
-      out[i] = common::parallelReduce<double>(
-          static_cast<std::size_t>(numChunks), 0.0,
-          [&](std::size_t chunk) {
-            const std::uint64_t begin = chunk * chunkSize;
-            return weightedRangeSum(cycles.data() + begin, begin, chunkSize,
-                                    weights);
-          },
-          [](double acc, double partial) { return acc + partial; });
-    }
+    out[i] = engine.syncExpectedCycles(ps[i]);
   }
   return out;
 }

@@ -11,7 +11,9 @@
 //    MakespanEngine::DistributedSweep re-evaluates incrementally (worklist
 //    delta propagation over a CSR successor index); per-mask weights come
 //    from a precomputed popcount table and per-worker scratch buffers are
-//    reused across all masks, so the hot loop performs no allocation.
+//    reused across all masks, so the hot loop performs no allocation.  A
+//    mask's makespan does not depend on P, so one enumeration serves every
+//    P of a sweep: each chunk is evaluated once and reweighted per P.
 //  * Seeded Monte-Carlo sampling for larger designs (samples are drawn as
 //    masks and evaluated through the same scratch engine).
 //
@@ -65,10 +67,13 @@ double averageCyclesExact(const sched::ScheduledDfg& s,
                           double p);
 
 /// Expected makespan for every P in `ps` at once.  The Distributed makespan
-/// of a mask does not depend on P, so the 2^n assignments are enumerated a
-/// single time and reweighted per P -- each entry is bit-identical to the
-/// corresponding averageCyclesExact(s, engine, style, ps[i]) call.  This is
-/// the Table 2 fast path: one Gray-code sweep serves the whole P column.
+/// of a mask does not depend on P, so each chunk of the 2^n assignments is
+/// evaluated a single time, into a per-worker buffer of one chunk (no buffer
+/// grows with 2^n), and reweighted for every P while it is hot.  Each P's
+/// partials fold in chunk order, so every entry is bit-identical to the
+/// corresponding averageCyclesExact(s, engine, style, ps[i]) call, which is
+/// this sweep for one P.  This is the Table 2 path: one Gray-code
+/// enumeration serves the whole P column.
 std::vector<double> averageCyclesExactSweep(const sched::ScheduledDfg& s,
                                             const MakespanEngine& engine,
                                             ControlStyle style,

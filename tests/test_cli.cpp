@@ -5,7 +5,10 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "core/cli.hpp"
+#include "dfg/textio.hpp"
+#include "testutil.hpp"
 
 namespace tauhls::core {
 namespace {
@@ -201,6 +204,29 @@ TEST_F(CliRun, WritesPipelineTrace) {
   EXPECT_NE(content.str().find("\"schedule\""), std::string::npos);
   EXPECT_NE(content.str().find("\"cache\""), std::string::npos);
   EXPECT_NE(out.str().find("wrote pipeline trace"), std::string::npos);
+}
+
+// The latency pass runs its exact sweep (2^21 masks here) on the pool
+// inside the pipeline wave; the report must not depend on the lane count.
+TEST_F(CliRun, FlowStdoutIdenticalAcrossThreadCounts) {
+  const std::string path = dir_ + "layered21.dfg";
+  std::ofstream(path) << dfg::printDfg(test::layered21Muls());
+  auto flowAt = [&](const std::string& threads) {
+    std::string error;
+    auto o = parseCli({"flow", path, "--alloc", "mult=2,add=1,sub=1",
+                       "--table1", "--threads", threads},
+                      error);
+    EXPECT_TRUE(o.has_value()) << error;
+    std::ostringstream out;
+    std::ostringstream err;
+    EXPECT_EQ(runCli(*o, out, err), 0) << err.str();
+    return out.str();
+  };
+  const std::string serial = flowAt("1");
+  const std::string parallel = flowAt("4");
+  common::setGlobalThreadCount(common::configuredThreadCount());
+  EXPECT_NE(serial.find("LT_DIST"), std::string::npos);
+  EXPECT_EQ(parallel, serial);
 }
 
 TEST_F(CliRun, MissingFileFails) {

@@ -1,13 +1,18 @@
 // The parallel experiment engine: thread-pool semantics (coverage, exception
-// propagation, nesting) and the determinism contract -- every latency
+// propagation, nested regions sharing the pool) and the determinism contract -- every latency
 // statistic is bit-identical for TAUHLS_THREADS in {1, 2, 8}, on the paper's
 // Diff. and 5th-order-FIR benchmarks, and the parallel exact and Monte-Carlo
 // estimators still cross-validate like the serial paths.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -63,13 +68,77 @@ TEST(ThreadPool, PropagatesTaskExceptions) {
                std::runtime_error);
 }
 
-TEST(ThreadPool, NestedRegionsRunInlineWithoutDeadlock) {
+TEST(ThreadPool, NestedRegionsCompleteWithoutDeadlock) {
   GlobalThreadCountGuard guard;
   common::setGlobalThreadCount(4);
   std::atomic<int> count{0};
   common::parallelFor(8, [&](std::size_t) {
     EXPECT_TRUE(common::ThreadPool::insideWorker());
     common::parallelFor(8, [&](std::size_t) {
+      count.fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  EXPECT_EQ(count.load(), 64);
+}
+
+// A region opened inside a task queues helpers like a top-level one: on a
+// 2-lane pool the lane left idle by the outer region joins the inner one.
+// Each inner task holds until a second thread has entered the region, with
+// a deadline so that a pool running nested regions inline fails rather than
+// hangs.
+TEST(ThreadPool, NestedRegionRunsOnIdleLanes) {
+  GlobalThreadCountGuard guard;
+  common::setGlobalThreadCount(2);
+  std::mutex mutex;
+  std::condition_variable entered;
+  std::set<std::thread::id> innerThreads;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  common::parallelFor(2, [&](std::size_t outer) {
+    if (outer != 0) return;
+    common::parallelFor(64, [&](std::size_t) {
+      std::unique_lock<std::mutex> lock(mutex);
+      innerThreads.insert(std::this_thread::get_id());
+      entered.notify_all();
+      entered.wait_until(lock, deadline,
+                         [&] { return innerThreads.size() >= 2; });
+    });
+  });
+  EXPECT_GE(innerThreads.size(), 2u);
+}
+
+// Three levels of nesting on two lanes: every lane can end up waiting for
+// helpers, which must still be run rather than left in the queue.
+TEST(ThreadPool, ThreeLevelNestingOnTwoLanesCompletes) {
+  common::ThreadPool pool(2);
+  std::vector<std::atomic<int>> hits(4 * 4 * 4);
+  pool.forEach(4, [&](std::size_t a) {
+    pool.forEach(4, [&](std::size_t b) {
+      pool.forEach(4, [&](std::size_t c) {
+        hits[(a * 4 + b) * 4 + c].fetch_add(1, std::memory_order_relaxed);
+      });
+    });
+  });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ThreadPool, NestedExceptionsReachTheOuterCaller) {
+  common::ThreadPool pool(2);
+  EXPECT_THROW(pool.forEach(4,
+                            [&](std::size_t outer) {
+                              pool.forEach(16, [&](std::size_t inner) {
+                                if (outer == 2 && inner == 11) {
+                                  throw std::runtime_error("boom");
+                                }
+                              });
+                            }),
+               std::runtime_error);
+  // The pool stays usable after a failed nested region.
+  std::atomic<int> count{0};
+  pool.forEach(8, [&](std::size_t) {
+    pool.forEach(8, [&](std::size_t) {
       count.fetch_add(1, std::memory_order_relaxed);
     });
   });

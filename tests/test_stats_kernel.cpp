@@ -98,10 +98,22 @@ TEST(StatsKernel, GrayCodeSweepBitIdenticalToReference) {
 
 // The shared-enumeration P-sweep returns, entry for entry, exactly what the
 // standalone per-P calls return -- for both styles, at every thread count.
+// The layered design has 21 TAU ops, so its 2^21 masks span 256 chunks of
+// 8 Ki; one of its entries is also checked against the brute-force
+// reference.
 TEST(StatsKernel, SweepMatchesPerPointCallsBitForBit) {
   GlobalThreadCountGuard guard;
   const std::vector<double> ps = {1.0, 0.9, 0.7, 0.5, 0.25, 0.0};
-  for (const ScheduledDfg& s : paperBenchmarks()) {
+  std::vector<ScheduledDfg> designs = paperBenchmarks();
+  designs.push_back(sched::scheduleAndBind(
+      test::layered21Muls(),
+      Allocation{{ResourceClass::Multiplier, 2},
+                 {ResourceClass::Adder, 1},
+                 {ResourceClass::Subtractor, 1}},
+      tau::paperLibrary()));
+  const sim::MakespanEngine layered(designs.back());
+  ASSERT_EQ(layered.numTauOps(), 21);
+  for (const ScheduledDfg& s : designs) {
     const sim::MakespanEngine engine(s);
     for (sim::ControlStyle style :
          {sim::ControlStyle::Distributed, sim::ControlStyle::CentSync}) {
@@ -118,6 +130,13 @@ TEST(StatsKernel, SweepMatchesPerPointCallsBitForBit) {
       }
     }
   }
+  common::setGlobalThreadCount(8);
+  EXPECT_EQ(sim::averageCyclesExactSweep(designs.back(), layered,
+                                         sim::ControlStyle::Distributed,
+                                         ps)[2],
+            sim::averageCyclesExactReference(
+                designs.back(), layered, sim::ControlStyle::Distributed,
+                ps[2]));
 }
 
 // The mask-native evaluation path agrees with the OperandClasses path on

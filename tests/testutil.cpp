@@ -63,6 +63,15 @@ Dfg parallelMuls(int n) {
   return g;
 }
 
+Dfg layered21Muls() {
+  dfg::RandomDfgSpec spec;
+  spec.seed = 2;
+  spec.numLayers = 6;
+  spec.layerWidth = 4;
+  spec.mulPermille = 800;
+  return dfg::randomDfg(spec);
+}
+
 std::vector<sched::ScheduledDfg> propertySchedules(
     const dfg::RandomDfgSpec& spec, const tau::ResourceLibrary& lib) {
   dfg::RandomDfgSpec layered = spec;

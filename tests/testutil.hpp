@@ -27,6 +27,11 @@ dfg::Dfg mulChain(int n);
 /// `n` independent multiplications (maximal concurrency).
 dfg::Dfg parallelMuls(int n);
 
+/// A layered graph of 6 ranks of 4 ops (RandomDfgSpec seed 2, 800 per-mille
+/// multiplies): 24 ops, 21 of them multiplications, so its exact latency
+/// sweep walks 2^21 masks -- more than any paper design.
+dfg::Dfg layered21Muls();
+
 /// The schedules the engine-agreement properties sweep for one spec:
 /// randomDfg(spec) and a layered graph of 2-3 ranks of 2-4 ops drawn from the
 /// same seed, each bound by left-edge and by clique cover (2 multipliers,
