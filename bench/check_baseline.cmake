@@ -3,13 +3,19 @@
 # ctest test per emitter by bench/CMakeLists.txt:
 #
 #   cmake -DBENCH=<binary> -DBASELINE=<baseline.json> -DOUT=<fresh.json>
-#         -DPYTHON=<python3> -DCOMPARE=<compare_bench.py> [-DARGS=<a;b>]
+#         [-DPYTHON=<python3> -DCOMPARE=<compare_bench.py>] [-DARGS=<a;b>]
 #         -P check_baseline.cmake
 #
-# Without -DCOMPARE the emitter is a plain-text table: its stdout, written to
-# OUT, must match BASELINE byte for byte.
+# Without -DCOMPARE the emitter's output must match BASELINE byte for byte:
+# its stdout, written to OUT, or -- when ARGS is given -- the file the command
+# `BENCH ARGS OUT` writes (ARGS ends with the option that takes the path).
 if(NOT COMPARE)
-  execute_process(COMMAND ${BENCH} OUTPUT_FILE ${OUT} RESULT_VARIABLE rc)
+  if(ARGS)
+    execute_process(COMMAND ${BENCH} ${ARGS} ${OUT} OUTPUT_QUIET
+                    RESULT_VARIABLE rc)
+  else()
+    execute_process(COMMAND ${BENCH} OUTPUT_FILE ${OUT} RESULT_VARIABLE rc)
+  endif()
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "${BENCH} failed (exit ${rc})")
   endif()

@@ -1,18 +1,21 @@
 // google-benchmark micro suite: hot paths of the tool itself (makespan
 // evaluation, exact latency statistics, controller generation, product
-// construction, logic minimization), so tool performance regressions are
-// visible alongside the paper-table benches.
+// construction, logic minimization, symbolic model checking), so tool
+// performance regressions are visible alongside the paper-table benches.
 #include <benchmark/benchmark.h>
 
 #include "common/parallel.hpp"
 #include "dfg/benchmarks.hpp"
+#include "dfg/random.hpp"
 #include "fsm/cent_sync.hpp"
 #include "fsm/distributed.hpp"
 #include "fsm/product.hpp"
+#include "fsm/signal_opt.hpp"
 #include "logic/minimize.hpp"
 #include "sim/interp.hpp"
 #include "sim/stats.hpp"
 #include "synth/extract.hpp"
+#include "verify/symbolic_check.hpp"
 
 namespace {
 
@@ -224,6 +227,31 @@ void BM_QmMinimize10Var(benchmark::State& state) {
   state.SetLabel("random 10-var, 1/4 onset, 1/4 dc");
 }
 BENCHMARK(BM_QmMinimize10Var)->Unit(benchmark::kMillisecond);
+
+// BMC + k-induction on the 48-op rung of the lint ladder (RandomDfgSpec
+// layered, 12 ranks of 4 ops, half multiplies, spec seed 1).  Every
+// property closes at k=1 in 11 SAT queries, yet the solver makes about
+// 85,000 decisions, so its cost per decision shows here.  Not gated: the
+// trajectory itself is pinned by tests/test_sat.cpp and the
+// bench_lint_benchmarks baseline.
+void BM_SymbolicCheckLayered48(benchmark::State& state) {
+  dfg::RandomDfgSpec spec;
+  spec.numLayers = 12;
+  spec.layerWidth = 4;
+  spec.mulPermille = 500;
+  spec.seed = 1;
+  const auto s = sched::scheduleAndBind(dfg::randomDfg(spec),
+                                        {{dfg::ResourceClass::Multiplier, 2},
+                                         {dfg::ResourceClass::Adder, 1},
+                                         {dfg::ResourceClass::Subtractor, 1}},
+                                        tau::paperLibrary());
+  const auto dcu = fsm::optimizeSignals(fsm::buildDistributed(s));
+  const auto cent = fsm::buildCentSync(s);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(verify::symbolicModelCheck(dcu, s, &cent));
+  }
+}
+BENCHMARK(BM_SymbolicCheckLayered48)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -29,8 +29,11 @@ int SatSolver::newVar() {
   level_.push_back(0);
   reason_.push_back(-1);
   activity_.push_back(0.0);
+  heapPos_.push_back(-1);
+  seen_.push_back(0);
   watchers_.emplace_back();
   watchers_.emplace_back();
+  heapInsert(static_cast<int>(assign_.size()) - 1);
   return static_cast<int>(assign_.size());
 }
 
@@ -60,7 +63,9 @@ void SatSolver::backjump(int targetLevel) {
   const std::size_t keep =
       static_cast<std::size_t>(trailLim_[static_cast<std::size_t>(targetLevel)]);
   for (std::size_t i = trail_.size(); i > keep; --i) {
-    assign_[static_cast<std::size_t>(trail_[i - 1] >> 1)] = -1;
+    const int var = trail_[i - 1] >> 1;
+    assign_[static_cast<std::size_t>(var)] = -1;
+    heapInsert(var);
   }
   trail_.resize(keep);
   trailLim_.resize(static_cast<std::size_t>(targetLevel));
@@ -147,11 +152,15 @@ bool SatSolver::propagate(int& conflictClause) {
 }
 
 void SatSolver::bumpVar(int var) {
-  double& a = activity_[static_cast<std::size_t>(var)];
-  a += activityInc_;
-  if (a > 1e100) {
+  const std::size_t v = static_cast<std::size_t>(var);
+  activity_[v] += activityInc_;
+  if (activity_[v] > 1e100) {
     for (double& act : activity_) act *= 1e-100;
     activityInc_ *= 1e-100;
+    // Rounding can tie two activities against their index order: re-heapify.
+    for (std::size_t i = heap_.size() / 2; i-- > 0;) heapSiftDown(i);
+  } else if (heapPos_[v] >= 0) {
+    heapSiftUp(static_cast<std::size_t>(heapPos_[v]));
   }
 }
 
@@ -170,22 +179,66 @@ void SatSolver::decayActivities() {
   clauseActivityInc_ /= 0.999;
 }
 
-int SatSolver::pickBranchVar() const {
-  int best = -1;
-  double bestActivity = -1.0;
-  for (std::size_t v = 0; v < assign_.size(); ++v) {
-    if (assign_[v] >= 0) continue;
-    if (activity_[v] > bestActivity) {
-      bestActivity = activity_[v];
-      best = static_cast<int>(v);
-    }
+bool SatSolver::heapBefore(int a, int b) const {
+  const double actA = activity_[static_cast<std::size_t>(a)];
+  const double actB = activity_[static_cast<std::size_t>(b)];
+  return actA > actB || (actA == actB && a < b);
+}
+
+void SatSolver::heapInsert(int var) {
+  if (heapPos_[static_cast<std::size_t>(var)] >= 0) return;
+  heap_.push_back(var);
+  heapSiftUp(heap_.size() - 1);
+}
+
+void SatSolver::heapSiftUp(std::size_t pos) {
+  const int var = heap_[pos];
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!heapBefore(var, heap_[parent])) break;
+    heap_[pos] = heap_[parent];
+    heapPos_[static_cast<std::size_t>(heap_[pos])] = static_cast<int>(pos);
+    pos = parent;
   }
-  return best;
+  heap_[pos] = var;
+  heapPos_[static_cast<std::size_t>(var)] = static_cast<int>(pos);
+}
+
+void SatSolver::heapSiftDown(std::size_t pos) {
+  const int var = heap_[pos];
+  while (true) {
+    std::size_t child = 2 * pos + 1;
+    if (child >= heap_.size()) break;
+    if (child + 1 < heap_.size() && heapBefore(heap_[child + 1], heap_[child])) {
+      ++child;
+    }
+    if (!heapBefore(heap_[child], var)) break;
+    heap_[pos] = heap_[child];
+    heapPos_[static_cast<std::size_t>(heap_[pos])] = static_cast<int>(pos);
+    pos = child;
+  }
+  heap_[pos] = var;
+  heapPos_[static_cast<std::size_t>(var)] = static_cast<int>(pos);
+}
+
+int SatSolver::pickBranchVar() {
+  // Assigned variables leave the heap here, lazily; backjump re-inserts them.
+  while (!heap_.empty()) {
+    const int top = heap_.front();
+    heapPos_[static_cast<std::size_t>(top)] = -1;
+    const int last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) {
+      heap_.front() = last;
+      heapSiftDown(0);
+    }
+    if (assign_[static_cast<std::size_t>(top)] < 0) return top;
+  }
+  return -1;
 }
 
 int SatSolver::analyze(int conflictClause, std::vector<int>& learnedOut) {
   learnedOut.assign(1, 0);  // slot 0: the asserting (first-UIP) literal
-  std::vector<char> seen(assign_.size(), 0);
   const int currentLevel = static_cast<int>(trailLim_.size());
   int counter = 0;
   int pVar = -1;
@@ -200,8 +253,8 @@ int SatSolver::analyze(int conflictClause, std::vector<int>& learnedOut) {
     for (std::size_t i = (pVar < 0 ? 0 : 1); i < c.size(); ++i) {
       const int q = c[i];
       const std::size_t v = static_cast<std::size_t>(q >> 1);
-      if (seen[v] || level_[v] == 0) continue;
-      seen[v] = 1;
+      if (seen_[v] || level_[v] == 0) continue;
+      seen_[v] = 1;
       bumpVar(static_cast<int>(v));
       if (level_[v] == currentLevel) {
         ++counter;
@@ -211,16 +264,21 @@ int SatSolver::analyze(int conflictClause, std::vector<int>& learnedOut) {
     }
     do {
       --index;
-    } while (!seen[static_cast<std::size_t>(trail_[index] >> 1)]);
+    } while (!seen_[static_cast<std::size_t>(trail_[index] >> 1)]);
     const int p = trail_[index];
     pVar = p >> 1;
-    seen[static_cast<std::size_t>(pVar)] = 0;
+    seen_[static_cast<std::size_t>(pVar)] = 0;
     --counter;
     if (counter == 0) {
       learnedOut[0] = p ^ 1;
       break;
     }
     conflictClause = reason_[static_cast<std::size_t>(pVar)];
+  }
+  // Every current-level variable was unmarked as it was resolved; the tail
+  // literals' variables are the only ones still marked.
+  for (std::size_t i = 1; i < learnedOut.size(); ++i) {
+    seen_[static_cast<std::size_t>(learnedOut[i] >> 1)] = 0;
   }
 
   // Backjump destination: the highest level among the tail literals; move

@@ -4,7 +4,17 @@
 // Standard architecture, deliberately compact: two-watched-literal
 // propagation, first-UIP conflict analysis with clause learning and
 // non-chronological backjumping, exponentially-decayed variable activity
-// (VSIDS) for decisions, phase saving, and geometric restarts.  The learned
+// (VSIDS) for decisions, phase saving, and geometric restarts.
+//
+// Decisions come from an order heap (MiniSat's scheme): a binary max-heap of
+// variables keyed by activity, ties broken by the lower variable index, so
+// the branch variable is the unassigned variable of highest activity and,
+// among equals, lowest index -- a deterministic choice in O(log n) per
+// decision.  Every unassigned variable is in the heap; assigned ones are
+// dropped lazily when they surface at the top and re-inserted when a
+// backjump unassigns them.  A bump sifts its variable up; the 1e100 activity
+// rescale rebuilds the heap, since rounding can turn two distinct
+// activities into a tie whose index order is the reverse.  The learned
 // clause database is size-bounded: clause activities are bumped whenever a
 // learned clause participates in conflict analysis and the lowest-activity
 // half is periodically dropped (binary and locked clauses are exempt), so a
@@ -109,7 +119,11 @@ class SatSolver {
   void decayActivities();
   bool clauseLocked(int clauseId) const;
   void reduceLearnedDb();
-  int pickBranchVar() const;
+  bool heapBefore(int a, int b) const;  ///< decision order of two vars
+  void heapInsert(int var);
+  void heapSiftUp(std::size_t pos);
+  void heapSiftDown(std::size_t pos);
+  int pickBranchVar();
   SatResult search(const std::vector<int>& assumptions,
                    std::uint64_t maxConflicts);
 
@@ -120,6 +134,9 @@ class SatSolver {
   std::vector<int> level_;                      ///< decision level per var
   std::vector<int> reason_;                     ///< antecedent clause per var (-1)
   std::vector<double> activity_;
+  std::vector<int> heap_;                       ///< decision order heap of vars
+  std::vector<int> heapPos_;                    ///< per var: slot in heap_, -1
+  std::vector<char> seen_;                      ///< analyze() scratch, all 0
   std::vector<int> trail_;                      ///< assigned internal lits
   std::vector<int> trailLim_;                   ///< trail size per decision level
   std::size_t propagateHead_ = 0;

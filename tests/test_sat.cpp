@@ -349,6 +349,73 @@ TEST(Sat, RestartsAreCounted) {
   EXPECT_GT(s.stats().restarts, 0u);
 }
 
+// ---- trajectory pins -------------------------------------------------------
+// The solver is deterministic: the same clause and query stream must take
+// the same decisions, propagations, conflicts, learned clauses and restarts.
+// These pins hold the exact counters, so any change to the decision order
+// (highest activity first, lowest variable index on ties), the learned-clause
+// database or the restart schedule shows up here, not only in lint output.
+
+TEST(Sat, TrajectoryPinnedThroughActivityRescale) {
+  // Two PHP(8,7) copies on one solver, each scoped by its own activation
+  // literal (appended to every clause of its copy).  Together they take
+  // 7,048 conflicts, past the ~4,490th where the activity increment
+  // (x 1/0.95 per conflict) crosses 1e100 and every activity is rescaled.
+  const int copyVars = 8 * 7;
+  const int actA = 2 * copyVars + 1;
+  const int actB = actA + 1;
+  SatSolver s;
+  for (int copy = 0; copy < 2; ++copy) {
+    const int offset = copy * copyVars;
+    for (std::vector<int> cl : pigeonhole(8, 7)) {
+      for (int& l : cl) l = l > 0 ? l + offset : l - offset;
+      cl.push_back(copy == 0 ? -actA : -actB);
+      s.addClause(cl);
+    }
+  }
+  EXPECT_EQ(s.solve(std::vector<int>{actA}), SatResult::Unsat);
+  EXPECT_EQ(s.solve(std::vector<int>{actB}), SatResult::Unsat);
+  const SatStats& st = s.stats();
+  EXPECT_EQ(st.decisions, 8264u);
+  EXPECT_EQ(st.propagations, 113156u);
+  EXPECT_EQ(st.conflicts, 7048u);
+  EXPECT_EQ(st.learned, 7046u);
+  EXPECT_EQ(st.restarts, 12u);
+}
+
+TEST(Sat, TrajectoryPinnedOverAssumptionStream) {
+  // One seeded random 3-SAT instance near the phase transition, then a
+  // stream of queries under random assumptions on the same solver: learned
+  // clauses, activities and saved phases carry from query to query.
+  std::uint64_t rng = 0x1f2e3d4c5b6a7988ull;
+  const int numVars = 120;
+  SatSolver s;
+  for (int c = 0; c < 500; ++c) {
+    std::vector<int> clause;
+    for (int k = 0; k < 3; ++k) {
+      const int v = 1 + static_cast<int>(nextRand(rng) % numVars);
+      clause.push_back((nextRand(rng) & 1) ? v : -v);
+    }
+    s.addClause(clause);
+  }
+  std::string verdicts;
+  for (int query = 0; query < 40; ++query) {
+    std::vector<int> assumptions;
+    for (int k = 0; k < 4; ++k) {
+      const int v = 1 + static_cast<int>(nextRand(rng) % numVars);
+      assumptions.push_back((nextRand(rng) & 1) ? v : -v);
+    }
+    verdicts += s.solve(assumptions) == SatResult::Sat ? 'S' : 'U';
+  }
+  EXPECT_EQ(verdicts, "SUUSUUSSUUUUUSSUSSUUUSSUUUUUSUUSUUSSSUUS");
+  const SatStats& st = s.stats();
+  EXPECT_EQ(st.decisions, 3283u);
+  EXPECT_EQ(st.propagations, 90569u);
+  EXPECT_EQ(st.conflicts, 2549u);
+  EXPECT_EQ(st.learned, 2549u);
+  EXPECT_EQ(st.restarts, 5u);
+}
+
 TEST(Sat, StatsDifferenceIsComponentWise) {
   SatStats a;
   a.decisions = 10;

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "aig/sat.hpp"
 #include "aig/unroll.hpp"
 #include "dfg/benchmarks.hpp"
+#include "dfg/random.hpp"
 #include "fsm/cent_sync.hpp"
 #include "fsm/distributed.hpp"
 #include "fsm/guard.hpp"
@@ -235,6 +237,52 @@ TEST(SymbolicClean, Fig2StatsAreFilled) {
   EXPECT_EQ(rows[0].rule, "MDL001");
   EXPECT_EQ(rows[0].artifact, sym.stats.artifact);
   EXPECT_EQ(rows[0].verdict, std::string("PROVED"));
+}
+
+TEST(SymbolicClean, Layered32OpsProvedWithPinnedCost) {
+  // The 32-op rung of the lint ladder: RandomDfgSpec layered, 8 ranks of 4
+  // ops, half multiplies, spec seed 1, two multipliers, one adder and one
+  // subtractor.  Unlike the paper designs, its network is large enough for
+  // the solver's cost per decision to matter; the pinned per-property SAT
+  // counters hold the solver's trajectory on it.
+  dfg::RandomDfgSpec spec;
+  spec.numLayers = 8;
+  spec.layerWidth = 4;
+  spec.mulPermille = 500;
+  spec.seed = 1;
+  const sched::ScheduledDfg s = sched::scheduleAndBind(
+      dfg::randomDfg(spec),
+      Allocation{{ResourceClass::Multiplier, 2},
+                 {ResourceClass::Adder, 1},
+                 {ResourceClass::Subtractor, 1}},
+      tau::paperLibrary());
+  ASSERT_EQ(s.graph.numOps(), 32u);
+  const fsm::DistributedControlUnit dcu =
+      fsm::optimizeSignals(fsm::buildDistributed(s));
+  const fsm::Fsm cent = fsm::buildCentSync(s);
+  const SymbolicArtifact sym = symbolicModelCheck(dcu, s, &cent);
+
+  EXPECT_FALSE(sym.report.hasErrors()) << renderText(sym.report);
+  EXPECT_TRUE(sym.stats.invariantHolds);
+  // rule, then decisions propagations conflicts learned restarts queries.
+  const std::vector<std::string> expectedCost = {
+      "MDL001 13522 841086 1914 1888 5 2", "MDL002 312 63456 109 109 0 2",
+      "MDL003 828 135757 273 273 1 2",     "MDL004 301 39835 43 42 0 2",
+      "MDL005 129 39439 34 33 0 2"};
+  ASSERT_EQ(sym.stats.properties.size(), expectedCost.size());
+  for (std::size_t i = 0; i < expectedCost.size(); ++i) {
+    const SymbolicProperty& p = sym.stats.properties[i];
+    EXPECT_EQ(p.verdict, PropertyVerdict::Proved) << p.rule;
+    EXPECT_EQ(p.inductionK, 1) << p.rule;
+    const RuleCost& c = p.cost;
+    std::string got = p.rule;
+    for (const std::uint64_t n : {c.decisions, c.propagations, c.conflicts,
+                                  c.learned, c.restarts, c.queries}) {
+      got += " " + std::to_string(n);
+    }
+    EXPECT_EQ(got, expectedCost[i]);
+    EXPECT_EQ(c.simDischarged, 0u) << p.rule;
+  }
 }
 
 // ---- mutations produce decodable counterexamples --------------------------
