@@ -10,10 +10,18 @@
 // corrupted blob throws tauhls::Error (which the store layer converts into a
 // cache miss) instead of crashing or fabricating an artifact.
 //
+// Each type's layout is written once, in serialize.cpp: scalars, strings and
+// containers encode by C++ type; a plain-data type is one field list shared
+// by the encoder and the decoder; the types rebuilt through a validating API
+// (Dfg, Binding, ResourceLibrary, Guard, Fsm, Report, Cover) keep an explicit
+// encoder/decoder pair.
+//
 // The format carries a codec version (kArtifactCodecVersion).  Bump it
 // whenever any kind's byte layout changes: the store records the version in
 // each blob header and treats a mismatch as a miss, so stale blobs written by
-// an older binary age out instead of being misdecoded.
+// an older binary age out instead of being misdecoded.  The golden digests
+// in tests/test_store.cpp pin every kind's bytes; re-record them only
+// together with a version bump.
 #pragma once
 
 #include <cstdint>
