@@ -4,7 +4,7 @@
 // MDL009/MDL010), the hierarchical flow, and the CLI routing.
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -348,14 +348,20 @@ TEST(RegionCli, ParseBranchesSpec) {
   EXPECT_THROW(core::parseBranchesSpec("s3"), Error);
 }
 
+// Each test writes into its own directory, so the fixtures can run
+// concurrently under a parallel ctest.
 class RegionCliFile : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = "test_region_cli_tmp.dfg";
+    dir_ = ::testing::TempDir() + "region_cli_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           "/";
+    std::filesystem::create_directories(dir_);
+    path_ = dir_ + "fir_iir_loop.dfg";
     std::ofstream out(path_);
     out << dfg::firIirLoopText();
   }
-  void TearDown() override { std::remove(path_.c_str()); }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
 
   core::CliOptions baseOptions() {
     core::CliOptions o;
@@ -364,6 +370,7 @@ class RegionCliFile : public ::testing::Test {
     return o;
   }
 
+  std::string dir_;
   std::string path_;
 };
 
@@ -377,7 +384,7 @@ TEST_F(RegionCliFile, FlowPrintsComposedSummary) {
 
 TEST_F(RegionCliFile, UnsupportedOutputsAreRejectedWithDiagnostic) {
   core::CliOptions o = baseOptions();
-  o.verilogPath = "never_written.v";
+  o.verilogPath = dir_ + "never_written.v";
   std::ostringstream out, err;
   EXPECT_EQ(core::runCli(o, out, err), 1);
   EXPECT_NE(err.str().find("no composed form"), std::string::npos) << err.str();
