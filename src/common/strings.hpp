@@ -18,6 +18,11 @@ std::vector<std::string> split(const std::string& s, char sep, bool keepEmpty = 
 /// True when `s` is a valid C-style identifier (letter/underscore start).
 bool isIdentifier(const std::string& s);
 
+/// Escape a string for embedding in a JSON string literal: quotes,
+/// backslashes, \n, \r and \t get their short escapes, every other control
+/// character a \u00XX escape.
+std::string jsonEscape(const std::string& s);
+
 /// printf-style "%d"-free integer-to-string with fixed-width zero padding.
 std::string zeroPad(unsigned value, int width);
 

@@ -26,17 +26,6 @@ using lowering::ControllerContext;
 using lowering::describeCounterexample;
 using lowering::FnMap;
 
-RuleCost costOf(const aig::SatStats& s) {
-  RuleCost c;
-  c.decisions = s.decisions;
-  c.propagations = s.propagations;
-  c.conflicts = s.conflicts;
-  c.learned = s.learned;
-  c.restarts = s.restarts;
-  c.queries = 1;
-  return c;
-}
-
 /// Frame-by-frame decoding of a DCS002 BMC model back to state and input
 /// names (the symbolic_check.cpp TraceDecoder idiom over the controller
 /// context's smaller graph).
@@ -123,7 +112,8 @@ DcsStats checkDcsFsm(const fsm::Fsm& fsm, const synth::SynthesizedFsm& syn,
   std::size_t careStates = 0;
   for (std::size_t s = 0; s < fsm.numStates(); ++s) {
     if (!reachable[s]) continue;
-    careLit = ctx.g.orLit(careLit, ctx.stateMatch(static_cast<int>(s)));
+    careLit =
+        ctx.g.orLit(careLit, ctx.spec().stateMatch(static_cast<int>(s)));
     ++careStates;
   }
 
@@ -145,7 +135,7 @@ DcsStats checkDcsFsm(const fsm::Fsm& fsm, const synth::SynthesizedFsm& syn,
   for (std::size_t i = 0; i < spec.size(); ++i) {
     const aig::CecResult r = aig::proveEquivalent(
         ctx.g, spec[i].second, cover[i].second, careLit, options.maxConflicts);
-    careRow.cost += costOf(r.stats);
+    careRow.cost += ruleCostOf(r.stats, 1);
     if (r.status == aig::SatResult::Unsat) {
       careEqual[i] = true;
     } else if (r.status == aig::SatResult::Sat) {
@@ -165,7 +155,7 @@ DcsStats checkDcsFsm(const fsm::Fsm& fsm, const synth::SynthesizedFsm& syn,
     const aig::CecResult g = aig::proveEquivalent(
         ctx.g, spec[i].second, cover[i].second, aig::kLitTrue,
         options.maxConflicts);
-    dcRow.cost += costOf(g.stats);
+    dcRow.cost += ruleCostOf(g.stats, 1);
     if (careEqual[i] && g.status == aig::SatResult::Sat) ++stats.dcFunctions;
   }
   stats.properties.push_back(careRow);
@@ -198,7 +188,7 @@ DcsStats checkDcsFsm(const fsm::Fsm& fsm, const synth::SynthesizedFsm& syn,
     const int badLit = enc.encode(bmc.at(depth, bad));
     const aig::SatResult res =
         solver.solve(std::vector<int>{badLit}, options.maxConflicts);
-    reachRow.cost += costOf(solver.stats() - before);
+    reachRow.cost += ruleCostOf(solver.stats() - before, 1);
     if (res == aig::SatResult::Sat) {
       reachRow.verdict = propertyVerdictName(PropertyVerdict::Counterexample);
       reachRow.cexCycle = depth;
@@ -228,7 +218,7 @@ DcsStats checkDcsFsm(const fsm::Fsm& fsm, const synth::SynthesizedFsm& syn,
     }
     assumptions.push_back(enc.encode(ind.at(k, bad)));
     const aig::SatResult step = solver.solve(assumptions, options.maxConflicts);
-    reachRow.cost += costOf(solver.stats() - before);
+    reachRow.cost += ruleCostOf(solver.stats() - before, 1);
     if (step == aig::SatResult::Unsat) {
       reachRow.verdict = propertyVerdictName(PropertyVerdict::Proved);
       reachRow.depth = k;

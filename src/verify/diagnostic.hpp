@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "aig/sat.hpp"
+
 namespace tauhls::verify {
 
 enum class Severity : int {
@@ -125,6 +127,12 @@ struct RuleCost {
   friend bool operator==(const RuleCost&, const RuleCost&) = default;
 };
 
+/// The solver work `s` as a rule cost that counts `queries` SAT queries.
+inline RuleCost ruleCostOf(const aig::SatStats& s, std::uint64_t queries = 0) {
+  return {s.decisions, s.propagations, s.conflicts, s.learned, s.restarts,
+          queries, 0};
+}
+
 /// One row of the lint JSON "symbolic" section (schema v4): the verdict and
 /// SAT work of one safety property checked by the symbolic model checker
 /// (symbolic_check.hpp), flattened to renderer-friendly fields.
@@ -165,21 +173,12 @@ struct JsonSections {
   std::vector<std::string> skipped;
 };
 
-/// Machine rendering: {"schema":"tauhls-lint","version":N,
+/// Machine rendering (lint schema v5): {"schema":"tauhls-lint","version":N,
 /// "diagnostics":[{code,severity,artifact,where,message}],
 /// "byRule":{code:count,...},"satCost":{code:{decisions,...},...},
-/// "errors":N,"warnings":N} -- consumed by CI trend tracking.
-std::string renderJson(const Report& report);
-/// As above with the per-rule work counters filled in (sorted by code).
-std::string renderJson(const Report& report,
-                       const std::map<std::string, RuleCost>& satCost);
-/// As above with the per-property symbolic model-check rows appended as a
-/// "symbolic" array (lint schema v4; empty vector emits an empty array).
-std::string renderJson(const Report& report,
-                       const std::map<std::string, RuleCost>& satCost,
-                       const std::vector<SymbolicPropertyStat>& symbolic);
-/// Full schema v5 rendering: every section of `sections`, including the
-/// "xprop" property rows and the "skipped" rule list.
+/// "symbolic":[...],"xprop":[...],"skipped":[...],"errors":N,"warnings":N}
+/// -- consumed by CI trend tracking.  Sections `sections` leaves empty
+/// render as empty objects/arrays.
 std::string renderJson(const Report& report, const JsonSections& sections);
 
 }  // namespace tauhls::verify

@@ -39,14 +39,6 @@ using lowering::rtlFunctions;
 using lowering::specFunctions;
 using lowering::SymbolicEval;
 
-void addSatCost(RuleCost& cost, const aig::SatStats& s) {
-  cost.decisions += s.decisions;
-  cost.propagations += s.propagations;
-  cost.conflicts += s.conflicts;
-  cost.learned += s.learned;
-  cost.restarts += s.restarts;
-}
-
 /// Per-controller proof engine.  The Incremental path front-ends every query
 /// with bit-parallel simulation (a simulated mismatch *is* the
 /// counterexample, no CNF ever exists for it), memoizes proven-equal
@@ -84,7 +76,7 @@ struct Prover {
       const aig::CecResult r = aig::proveEquivalent(
           ctx.g, ref, cand, ctx.valid, options.maxConflicts);
       ++cost.queries;
-      addSatCost(cost, r.stats);
+      cost += ruleCostOf(r.stats);
       return r;
     }
     aig::CecResult r;
@@ -111,7 +103,7 @@ struct Prover {
     }
     r = inc->prove(ref, cand, ctx.valid, options.maxConflicts);
     ++cost.queries;
-    addSatCost(cost, r.stats);
+    cost += ruleCostOf(r.stats);
     if (r.status == aig::SatResult::Unsat) {
       unite(ref, cand);
     } else if (r.status == aig::SatResult::Sat) {
@@ -285,7 +277,7 @@ void checkCompletionLatch(const std::string& packageSource, Report& report,
         g, eval.nonzero(level->second), g.orLit(held, pulse));
     if (stats != nullptr) {
       ++stats->ruleCost["EQV004"].queries;
-      addSatCost(stats->ruleCost["EQV004"], levelCec.stats);
+      stats->ruleCost["EQV004"] += ruleCostOf(levelCec.stats);
     }
     if (!levelCec.equivalent()) {
       report.add("EQV004", artifact, "level",
@@ -302,7 +294,7 @@ void checkCompletionLatch(const std::string& packageSource, Report& report,
         g, eval.nonzero(heldNext->second), specNext);
     if (stats != nullptr) {
       ++stats->ruleCost["EQV004"].queries;
-      addSatCost(stats->ruleCost["EQV004"], heldCec.stats);
+      stats->ruleCost["EQV004"] += ruleCostOf(heldCec.stats);
     }
     if (!heldCec.equivalent()) {
       report.add("EQV004", artifact, "held",

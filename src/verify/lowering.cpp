@@ -14,31 +14,17 @@ using aig::kLitFalse;
 using aig::kLitTrue;
 using aig::Lit;
 
-ControllerContext::ControllerContext(const fsm::Fsm& f,
-                                     synth::EncodingStyle style)
-    : fsm(&f), enc(synth::encodeStates(f, style)) {
-  for (int b = 0; b < enc.bits; ++b) {
-    stateBits.push_back(g.addInput("state" + std::to_string(b)));
-  }
-  for (const std::string& in : f.inputs()) {
-    inputOf.emplace(in, g.addInput(in));
-  }
-  for (std::size_t s = 0; s < f.numStates(); ++s) {
-    valid = g.orLit(valid, stateMatch(static_cast<int>(s)));
-  }
-}
-
-Lit ControllerContext::stateMatch(int s) {
+Lit SpecLowering::stateMatch(int s) const {
   Lit acc = kLitTrue;
   for (int b = 0; b < enc.bits; ++b) {
     const bool bit = (enc.codeOf[static_cast<std::size_t>(s)] >> b) & 1u;
-    acc = g.andLit(acc, bit ? stateBits[static_cast<std::size_t>(b)]
-                            : aig::negate(stateBits[static_cast<std::size_t>(b)]));
+    const Lit state = stateBits[static_cast<std::size_t>(b)];
+    acc = g.andLit(acc, bit ? state : aig::negate(state));
   }
   return acc;
 }
 
-Lit ControllerContext::guardLit(const fsm::Guard& guard) {
+Lit SpecLowering::guardLit(const fsm::Guard& guard) const {
   Lit acc = kLitFalse;
   for (const fsm::GuardTerm& term : guard.terms()) {
     Lit t = kLitTrue;
@@ -51,38 +37,52 @@ Lit ControllerContext::guardLit(const fsm::Guard& guard) {
   return acc;
 }
 
-std::vector<std::string> ControllerContext::functionNames() const {
-  std::vector<std::string> names;
-  for (int b = 0; b < enc.bits; ++b) names.push_back("ns" + std::to_string(b));
-  for (const std::string& o : fsm->outputs()) names.push_back(o);
-  return names;
+Lit SpecLowering::valid() const {
+  Lit acc = kLitFalse;
+  for (std::size_t s = 0; s < fsm.numStates(); ++s) {
+    acc = g.orLit(acc, stateMatch(static_cast<int>(s)));
+  }
+  return acc;
+}
+
+FnMap SpecLowering::functions() const {
+  std::vector<Lit> ns(static_cast<std::size_t>(enc.bits), kLitFalse);
+  std::map<std::string, Lit> out;
+  for (const std::string& o : fsm.outputs()) out[o] = kLitFalse;
+  for (const fsm::Transition& t : fsm.transitions()) {
+    const Lit fire = g.andLit(stateMatch(t.from), guardLit(t.guard));
+    const std::uint32_t code = enc.codeOf[static_cast<std::size_t>(t.to)];
+    for (int b = 0; b < enc.bits; ++b) {
+      if ((code >> b) & 1u) {
+        ns[static_cast<std::size_t>(b)] =
+            g.orLit(ns[static_cast<std::size_t>(b)], fire);
+      }
+    }
+    for (const std::string& o : t.outputs) out[o] = g.orLit(out[o], fire);
+  }
+  FnMap fns;
+  for (int b = 0; b < enc.bits; ++b) {
+    fns.emplace_back("ns" + std::to_string(b), ns[static_cast<std::size_t>(b)]);
+  }
+  for (const std::string& o : fsm.outputs()) fns.emplace_back(o, out.at(o));
+  return fns;
+}
+
+ControllerContext::ControllerContext(const fsm::Fsm& f,
+                                     synth::EncodingStyle style)
+    : fsm(&f), enc(synth::encodeStates(f, style)) {
+  for (int b = 0; b < enc.bits; ++b) {
+    stateBits.push_back(g.addInput("state" + std::to_string(b)));
+  }
+  for (const std::string& in : f.inputs()) {
+    inputOf.emplace(in, g.addInput(in));
+  }
+  valid = spec().valid();
 }
 
 // --- representation 1: the FSM specification -------------------------------
 
-FnMap specFunctions(ControllerContext& ctx) {
-  const fsm::Fsm& f = *ctx.fsm;
-  std::vector<Lit> ns(static_cast<std::size_t>(ctx.enc.bits), kLitFalse);
-  std::map<std::string, Lit> out;
-  for (const std::string& o : f.outputs()) out[o] = kLitFalse;
-  for (const fsm::Transition& t : f.transitions()) {
-    const Lit fire = ctx.g.andLit(ctx.stateMatch(t.from), ctx.guardLit(t.guard));
-    const std::uint32_t code = ctx.enc.codeOf[static_cast<std::size_t>(t.to)];
-    for (int b = 0; b < ctx.enc.bits; ++b) {
-      if ((code >> b) & 1u) {
-        ns[static_cast<std::size_t>(b)] =
-            ctx.g.orLit(ns[static_cast<std::size_t>(b)], fire);
-      }
-    }
-    for (const std::string& o : t.outputs) out[o] = ctx.g.orLit(out[o], fire);
-  }
-  FnMap fns;
-  for (int b = 0; b < ctx.enc.bits; ++b) {
-    fns.emplace_back("ns" + std::to_string(b), ns[static_cast<std::size_t>(b)]);
-  }
-  for (const std::string& o : f.outputs()) fns.emplace_back(o, out.at(o));
-  return fns;
-}
+FnMap specFunctions(ControllerContext& ctx) { return ctx.spec().functions(); }
 
 // --- representation 2: the minimized two-level covers ----------------------
 

@@ -29,6 +29,28 @@ namespace tauhls::verify::lowering {
 /// the FSM's declared outputs.
 using FnMap = std::vector<std::pair<std::string, aig::Lit>>;
 
+/// The FSM specification of one machine lowered into a caller's graph:
+/// `stateBits` are the literals of the encoded state register (LSB first)
+/// and `inputOf` the cones of the FSM's declared input signals.  The
+/// equivalence and don't-care-soundness passes lower over a
+/// ControllerContext; X-propagation over its network model.
+struct SpecLowering {
+  aig::Aig& g;
+  const fsm::Fsm& fsm;
+  const synth::Encoding& enc;
+  const std::vector<aig::Lit>& stateBits;
+  const std::map<std::string, aig::Lit>& inputOf;
+
+  /// state == the encoding of state id `s`.
+  aig::Lit stateMatch(int s) const;
+  /// The guard's sum-of-products over the input cones.
+  aig::Lit guardLit(const fsm::Guard& guard) const;
+  /// OR of all encoded-state matches.
+  aig::Lit valid() const;
+  /// ns0..ns{n-1} then the declared outputs (FnMap order).
+  FnMap functions() const;
+};
+
 /// Shared AIG context of one controller: inputs are the encoded state bits
 /// (state0.. state{n-1}) followed by the FSM's declared input signals.
 struct ControllerContext {
@@ -41,12 +63,8 @@ struct ControllerContext {
 
   ControllerContext(const fsm::Fsm& f, synth::EncodingStyle style);
 
-  /// state == the encoding of state id `s`.
-  aig::Lit stateMatch(int s);
-  /// The guard's sum-of-products over the declared input literals.
-  aig::Lit guardLit(const fsm::Guard& guard);
-  /// ns0..ns{n-1} then the declared outputs (the FnMap name order).
-  std::vector<std::string> functionNames() const;
+  /// The specification lowering over this context's inputs.
+  SpecLowering spec() { return {g, *fsm, enc, stateBits, inputOf}; }
 };
 
 /// Representation 1: the FSM specification itself.

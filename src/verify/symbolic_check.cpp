@@ -51,16 +51,6 @@ namespace {
 
 constexpr int kNumProperties = 5;  // MDL001..MDL005
 
-RuleCost costOf(const aig::SatStats& d) {
-  RuleCost c;
-  c.decisions = d.decisions;
-  c.propagations = d.propagations;
-  c.conflicts = d.conflicts;
-  c.learned = d.learned;
-  c.restarts = d.restarts;
-  return c;
-}
-
 /// A witness cone: evaluated on the counterexample's final cycle to name the
 /// specific violation inside a property's disjunction.
 struct Witness {
@@ -655,8 +645,7 @@ SymbolicArtifact symbolicModelCheck(const fsm::DistributedControlUnit& dcu,
       const int badLit = enc.encode(bmc.at(depth, net.bad[p]));
       const aig::SatResult res =
           solver.solve(std::vector<int>{badLit}, options.maxConflicts);
-      props[p].result.cost += costOf(solver.stats() - before);
-      props[p].result.cost.queries += 1;
+      props[p].result.cost += ruleCostOf(solver.stats() - before, 1);
       if (res == aig::SatResult::Unsat) {
         props[p].result.depthReached = depth;
         solver.addClause({-badLit});  // implied; helps later frames
@@ -689,8 +678,7 @@ SymbolicArtifact symbolicModelCheck(const fsm::DistributedControlUnit& dcu,
       const int invLit = enc.encode(aig::negate(bmc.at(depth, net.inv)));
       const aig::SatResult res =
           solver.solve(std::vector<int>{invLit}, options.maxConflicts);
-      out.stats.invariantCost += costOf(solver.stats() - before);
-      out.stats.invariantCost.queries += 1;
+      out.stats.invariantCost += ruleCostOf(solver.stats() - before, 1);
       if (res == aig::SatResult::Unsat) {
         solver.addClause({-invLit});
       } else {
@@ -719,8 +707,7 @@ SymbolicArtifact symbolicModelCheck(const fsm::DistributedControlUnit& dcu,
         const aig::SatStats before = solver.stats();
         const aig::SatResult res =
             solver.solve(assumptions, options.maxConflicts);
-        props[p].result.cost += costOf(solver.stats() - before);
-        props[p].result.cost.queries += 1;
+        props[p].result.cost += ruleCostOf(solver.stats() - before, 1);
         if (res == aig::SatResult::Unsat) {
           props[p].open = false;
           props[p].result.verdict = PropertyVerdict::Proved;

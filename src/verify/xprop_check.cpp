@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -18,6 +17,7 @@
 #include "common/parallel.hpp"
 #include "rtl/verilog.hpp"
 #include "synth/encoding.hpp"
+#include "verify/lowering.hpp"
 #include "verify/symbolic_check.hpp"
 #include "vsim/simulate.hpp"
 
@@ -116,85 +116,39 @@ void addProbe(NetModel& m, const std::string& artifact, const std::string& name,
   m.probes.push_back({artifact, name, lit});
 }
 
-/// Lowers one FSM's next-state and output cones into the model's graph,
-/// resolving input signals through a caller-supplied cone map.  Mirrors the
-/// emitted RTL exactly: undecodable state codes take the default arm back to
-/// the initial state, outputs default to 0.
-class FsmCones {
- public:
-  FsmCones(Aig& g, const fsm::Fsm& f, synth::EncodingStyle style,
-           std::vector<Lit> stateCur)
-      : g_(g),
-        fsm_(f),
-        enc_(synth::encodeStates(f, style)),
-        state_(std::move(stateCur)) {}
-
-  const synth::Encoding& enc() const { return enc_; }
-
-  Lit stateMatch(int s) {
-    Lit acc = kLitTrue;
-    for (int b = 0; b < enc_.bits; ++b) {
-      const bool bit = (enc_.codeOf[static_cast<std::size_t>(s)] >> b) & 1u;
-      acc = g_.andLit(acc,
-                      bit ? state_[static_cast<std::size_t>(b)]
-                          : aig::negate(state_[static_cast<std::size_t>(b)]));
-    }
-    return acc;
-  }
-
-  /// Build every next-state bit and output cone; `inputOf` maps the FSM's
-  /// input names to already-built cones.
-  void build(const std::map<std::string, Lit>& inputOf) {
-    Lit valid = kLitFalse;
-    for (std::size_t s = 0; s < fsm_.numStates(); ++s) {
-      valid = g_.orLit(valid, stateMatch(static_cast<int>(s)));
-    }
-    ns_.assign(static_cast<std::size_t>(enc_.bits), kLitFalse);
-    for (const std::string& o : fsm_.outputs()) out_[o] = kLitFalse;
-    for (const fsm::Transition& t : fsm_.transitions()) {
-      Lit guard = kLitFalse;
-      for (const fsm::GuardTerm& term : t.guard.terms()) {
-        Lit g = kLitTrue;
-        for (const auto& [sig, positive] : term.literals) {
-          const Lit in = inputOf.at(sig);
-          g = g_.andLit(g, positive ? in : aig::negate(in));
-        }
-        guard = g_.orLit(guard, g);
-      }
-      const Lit fire = g_.andLit(stateMatch(t.from), guard);
-      const std::uint32_t code = enc_.codeOf[static_cast<std::size_t>(t.to)];
-      for (int b = 0; b < enc_.bits; ++b) {
-        if ((code >> b) & 1u) {
-          ns_[static_cast<std::size_t>(b)] =
-              g_.orLit(ns_[static_cast<std::size_t>(b)], fire);
-        }
-      }
-      for (const std::string& o : t.outputs) out_[o] = g_.orLit(out_[o], fire);
-    }
-    // The RTL's default case arm: an undecodable code steps to the initial
-    // state, so the model tracks the emitted machine on *every* power-on
-    // pattern, not just the encoded ones.
-    const std::uint32_t init =
-        enc_.codeOf[static_cast<std::size_t>(fsm_.initial())];
-    for (int b = 0; b < enc_.bits; ++b) {
-      if ((init >> b) & 1u) {
-        ns_[static_cast<std::size_t>(b)] =
-            g_.orLit(ns_[static_cast<std::size_t>(b)], aig::negate(valid));
-      }
-    }
-  }
-
-  Lit ns(int b) const { return ns_[static_cast<std::size_t>(b)]; }
-  Lit output(const std::string& o) const { return out_.at(o); }
-
- private:
-  Aig& g_;
-  const fsm::Fsm& fsm_;
-  synth::Encoding enc_;
-  std::vector<Lit> state_;
-  std::vector<Lit> ns_;
-  std::map<std::string, Lit> out_;
+/// One FSM's next-state and output cones exactly as the emitted RTL
+/// computes them: the specification lowering (verify/lowering.hpp) over the
+/// model's state registers and input cones, plus the RTL's default case arm.
+struct RtlCones {
+  std::vector<Lit> ns;
+  std::map<std::string, Lit> out;
 };
+
+RtlCones rtlCones(Aig& g, const fsm::Fsm& f, const synth::Encoding& enc,
+                  const std::vector<Lit>& state,
+                  const std::map<std::string, Lit>& inputOf) {
+  const lowering::SpecLowering spec{g, f, enc, state, inputOf};
+  const Lit valid = spec.valid();
+  RtlCones cones;
+  for (const auto& [name, lit] : spec.functions()) {
+    if (cones.ns.size() < static_cast<std::size_t>(enc.bits)) {
+      cones.ns.push_back(lit);
+    } else {
+      cones.out.emplace(name, lit);
+    }
+  }
+  // The default arm: an undecodable code steps to the initial state, so the
+  // model tracks the emitted machine on *every* power-on pattern, not just
+  // the encoded ones.  Outputs default to 0.
+  const std::uint32_t init = enc.codeOf[static_cast<std::size_t>(f.initial())];
+  for (int b = 0; b < enc.bits; ++b) {
+    if ((init >> b) & 1u) {
+      cones.ns[static_cast<std::size_t>(b)] =
+          g.orLit(cones.ns[static_cast<std::size_t>(b)], aig::negate(valid));
+    }
+  }
+  return cones;
+}
 
 /// Flat network model: every controller plus one completion latch per
 /// consumed signal, wired exactly as rtl::emitDistributedTop wires them.
@@ -216,9 +170,11 @@ NetModel buildFlatModel(const fsm::DistributedControlUnit& dcu,
   // Registers first (they are the template inputs): encoded state bits per
   // controller, one held bit per consumed signal.
   std::vector<std::vector<Lit>> stateCur(dcu.controllers.size());
+  std::vector<synth::Encoding> encs;
   for (std::size_t i = 0; i < dcu.controllers.size(); ++i) {
     const fsm::Fsm& f = dcu.controllers[i].fsm;
-    const synth::Encoding enc = synth::encodeStates(f, style);
+    const synth::Encoding& enc =
+        encs.emplace_back(synth::encodeStates(f, style));
     StateGroup group;
     group.fsmName = f.name();
     for (int b = 0; b < enc.bits; ++b) {
@@ -245,7 +201,7 @@ NetModel buildFlatModel(const fsm::DistributedControlUnit& dcu,
   // every pulse cone against the previous round's pulses, with round 0
   // seeing the held latches only.  Hash-consing collapses rounds that have
   // already stabilized, so acyclic networks cost nothing extra.
-  std::vector<std::unique_ptr<FsmCones>> cones(dcu.controllers.size());
+  std::vector<RtlCones> cones(dcu.controllers.size());
   std::map<std::string, Lit> pulseOf;
   for (int round = 0; round < 3; ++round) {
     std::map<std::string, Lit> nextPulse;
@@ -266,10 +222,9 @@ NetModel buildFlatModel(const fsm::DistributedControlUnit& dcu,
           inputOf[in] = it->second;
         }
       }
-      cones[i] = std::make_unique<FsmCones>(m.g, f, style, stateCur[i]);
-      cones[i]->build(inputOf);
+      cones[i] = rtlCones(m.g, f, encs[i], stateCur[i], inputOf);
       for (const std::string& o : f.outputs()) {
-        if (dcu.consumersOf.contains(o)) nextPulse[o] = cones[i]->output(o);
+        if (dcu.consumersOf.contains(o)) nextPulse[o] = cones[i].out.at(o);
       }
     }
     pulseOf = std::move(nextPulse);
@@ -279,17 +234,17 @@ NetModel buildFlatModel(const fsm::DistributedControlUnit& dcu,
   std::size_t reg = 0;
   for (std::size_t i = 0; i < dcu.controllers.size(); ++i) {
     const fsm::Fsm& f = dcu.controllers[i].fsm;
-    const synth::Encoding& enc = cones[i]->enc();
+    const synth::Encoding& enc = encs[i];
     const std::uint32_t init =
         enc.codeOf[static_cast<std::size_t>(f.initial())];
     const bool noReset = opt.controllersWithoutStateReset.contains(f.name());
     for (int b = 0; b < enc.bits; ++b, ++reg) {
       const Lit initBit = (init >> b) & 1u ? kLitTrue : kLitFalse;
-      m.regs[reg].next = noReset ? cones[i]->ns(b)
-                                 : m.g.muxLit(m.rst, initBit, cones[i]->ns(b));
+      const Lit ns = cones[i].ns[static_cast<std::size_t>(b)];
+      m.regs[reg].next = noReset ? ns : m.g.muxLit(m.rst, initBit, ns);
     }
     for (const std::string& o : f.outputs()) {
-      addProbe(m, "fsm " + f.name(), o, cones[i]->output(o));
+      addProbe(m, "fsm " + f.name(), o, cones[i].out.at(o));
     }
   }
   for (const std::string& sig : consumed) {
@@ -352,17 +307,16 @@ NetModel buildSequencerModel(const fsm::HierarchicalControlUnit& hcu,
                       : m.g.findInput(in);
   }
 
-  FsmCones cones(m.g, seq, style, stateCur);
-  cones.build(inputOf);
+  const RtlCones cones = rtlCones(m.g, seq, enc, stateCur, inputOf);
   const std::uint32_t init =
       enc.codeOf[static_cast<std::size_t>(seq.initial())];
   for (int b = 0; b < enc.bits; ++b) {
     const Lit initBit = (init >> b) & 1u ? kLitTrue : kLitFalse;
     m.regs[static_cast<std::size_t>(b)].next =
-        m.g.muxLit(m.rst, initBit, cones.ns(b));
+        m.g.muxLit(m.rst, initBit, cones.ns[static_cast<std::size_t>(b)]);
   }
   for (const std::string& o : seq.outputs()) {
-    addProbe(m, "sequencer " + seq.name(), o, cones.output(o));
+    addProbe(m, "sequencer " + seq.name(), o, cones.out.at(o));
   }
   for (const std::string& in : doneInputs) {
     const std::size_t r = m.heldRegOf.at(in);
@@ -373,7 +327,7 @@ NetModel buildSequencerModel(const fsm::HierarchicalControlUnit& hcu,
     const std::string st = "ST_" + in.substr(3);
     const bool hasSt = std::find(seq.outputs().begin(), seq.outputs().end(),
                                  st) != seq.outputs().end();
-    const Lit rearm = hasSt ? cones.output(st) : kLitFalse;
+    const Lit rearm = hasSt ? cones.out.at(st) : kLitFalse;
     const Lit clear = opt.doneLatchesWithoutInit.contains(in)
                           ? rearm
                           : m.g.orLit(m.rst, rearm);

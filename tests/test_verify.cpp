@@ -196,7 +196,7 @@ TEST(Diagnostics, RenderTextErrorsFirstAndSummary) {
 TEST(Diagnostics, RenderJsonShape) {
   Report r;
   r.add("NET002", "rtl \"top\"", "a\nb", "undriven");
-  const std::string json = renderJson(r);
+  const std::string json = renderJson(r, {});
   EXPECT_NE(json.find("\"code\":\"NET002\""), std::string::npos);
   EXPECT_NE(json.find("\\\"top\\\""), std::string::npos);
   EXPECT_NE(json.find("a\\nb"), std::string::npos);
