@@ -25,15 +25,7 @@
 #include "sim/stats.hpp"
 #include "tau/clocking.hpp"
 
-namespace {
-
-double wallMs(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
+using tauhls::bench::wallMs;
 
 int main(int argc, char** argv) {
   using namespace tauhls;

@@ -1,7 +1,10 @@
 // Shared helpers for the bench binaries (paper-table regeneration harness).
 #pragma once
 
+#include <chrono>
+#include <iomanip>
 #include <iostream>
+#include <sstream>
 #include <string>
 
 #include "core/flow.hpp"
@@ -14,6 +17,21 @@ inline void banner(const std::string& title) {
   std::cout << "\n================================================================\n"
             << title
             << "\n================================================================\n\n";
+}
+
+/// Milliseconds elapsed on the steady clock since `t0`.
+inline double wallMs(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// `v` with exactly three decimals: the number format of the BENCH_*.json
+/// files and of the timings the bench programs print.
+inline std::string jsonNumber(double v) {
+  std::ostringstream os;
+  os << std::fixed << std::setprecision(3) << v;
+  return os.str();
 }
 
 /// The paper's Table 2 reference numbers (ns), for side-by-side printing.

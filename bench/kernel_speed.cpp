@@ -42,7 +42,6 @@
 //   kernel_speed [--json FILE]
 #include <chrono>
 #include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -64,11 +63,8 @@ namespace {
 
 using namespace tauhls;
 
-double wallMs(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
+using tauhls::bench::wallMs;
+using tauhls::bench::jsonNumber;
 
 std::vector<std::tuple<std::string, std::string, std::string>> verdictsOf(
     const verify::Report& report) {
@@ -77,12 +73,6 @@ std::vector<std::tuple<std::string, std::string, std::string>> verdictsOf(
     out.emplace_back(d.code, d.artifact, d.where);
   }
   return out;
-}
-
-std::string jsonNumber(double v) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(3) << v;
-  return os.str();
 }
 
 }  // namespace

@@ -50,17 +50,8 @@ namespace {
 
 using namespace tauhls;
 
-double wallMs(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-std::string jsonNumber(double v) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(3) << v;
-  return os.str();
-}
+using tauhls::bench::wallMs;
+using tauhls::bench::jsonNumber;
 
 /// Diagnostic codes both engines must agree on: everything except the
 /// explicit engine's bound warning and the symbolic engine's summary line.

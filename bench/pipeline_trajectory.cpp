@@ -27,7 +27,6 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -43,11 +42,8 @@ namespace fs = std::filesystem;
 using namespace tauhls;
 using namespace tauhls::core;
 
-double wallMs(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
+using tauhls::bench::wallMs;
+using tauhls::bench::jsonNumber;
 
 struct RegimeResult {
   CacheStats stats;
@@ -75,12 +71,6 @@ RegimeResult runSuite(const std::vector<dfg::NamedBenchmark>& suite,
   r.ms = wallMs(t0);
   r.stats = cache->stats();
   return r;
-}
-
-std::string jsonNumber(double v) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(3) << v;
-  return os.str();
 }
 
 }  // namespace

@@ -43,25 +43,16 @@ namespace {
 
 using namespace tauhls;
 
-double wallMs(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-std::string num3(double v) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(3) << v;
-  return os.str();
-}
+using tauhls::bench::wallMs;
+using tauhls::bench::jsonNumber;
 
 std::string latencyCells(const sim::LatencyRow& row) {
   std::ostringstream os;
-  os << "{\"bestNs\":" << num3(row.bestNs) << ",\"averageNs\":[";
+  os << "{\"bestNs\":" << jsonNumber(row.bestNs) << ",\"averageNs\":[";
   for (std::size_t i = 0; i < row.averageNs.size(); ++i) {
-    os << (i ? "," : "") << num3(row.averageNs[i]);
+    os << (i ? "," : "") << jsonNumber(row.averageNs[i]);
   }
-  os << "],\"worstNs\":" << num3(row.worstNs) << "}";
+  os << "],\"worstNs\":" << jsonNumber(row.worstNs) << "}";
   return os.str();
 }
 
@@ -139,8 +130,8 @@ int main(int argc, char** argv) {
               << " total states, " << r.totalTauOps
               << " TAU ops on trace; composed==flat "
               << (identical ? "OK" : "FAILED") << "; flow "
-              << num3(flowMs) << " ms, identity " << num3(identityMs)
-              << " ms\n";
+              << jsonNumber(flowMs) << " ms, identity "
+              << jsonNumber(identityMs) << " ms\n";
     std::cout << "  " << core::formatComposedTable2Row("fir_iir_loop", r);
 
     structural << (firstStrategy ? "" : ",") << "\""
@@ -157,25 +148,27 @@ int main(int argc, char** argv) {
                << ",\"ltDist\":" << latencyCells(r.latency.dist)
                << ",\"enhancementPercent\":[";
     for (std::size_t i = 0; i < r.latency.enhancementPercent.size(); ++i) {
-      structural << (i ? "," : "") << num3(r.latency.enhancementPercent[i]);
+      structural << (i ? "," : "")
+                 << jsonNumber(r.latency.enhancementPercent[i]);
     }
     structural << "]}";
     firstStrategy = false;
 
     timings << (strategy == sched::BindingStrategy::LeftEdge ? "" : ",")
-            << "\"" << strategyName(strategy) << "\":{\"flow\":" << num3(flowMs)
-            << ",\"identity\":" << num3(identityMs) << "}";
+            << "\"" << strategyName(strategy)
+            << "\":{\"flow\":" << jsonNumber(flowMs)
+            << ",\"identity\":" << jsonNumber(identityMs) << "}";
   }
   structural << "}";
 
-  std::cout << "total: " << num3(totalMs) << " ms; identity "
+  std::cout << "total: " << jsonNumber(totalMs) << " ms; identity "
             << (ok ? "OK" : "FAILED") << "\n";
 
   std::ostringstream js;
   js << "{\"schema\":\"tauhls-bench-regions\",\"version\":1,"
      << "\"structural\":{" << structural.str() << "},"
-     << "\"timingsMs\":{" << timings.str() << ",\"total\":" << num3(totalMs)
-     << "}}\n";
+     << "\"timingsMs\":{" << timings.str()
+     << ",\"total\":" << jsonNumber(totalMs) << "}}\n";
   std::ofstream out(jsonPath);
   out << js.str();
   std::cout << "wrote " << jsonPath << "\n";
