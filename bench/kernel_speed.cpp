@@ -227,7 +227,7 @@ int main(int argc, char** argv) {
   for (const sched::ScheduledDfg& s : schedules) {
     const sim::MakespanEngine engine(s);
     sweepCycles.push_back(sim::averageCyclesExactSweep(
-        s, engine, sim::ControlStyle::Distributed, ps));
+        engine, sim::ControlStyle::Distributed, ps));
   }
   const double optSweepMs = wallMs(tSweep);
 

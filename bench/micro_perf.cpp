@@ -73,7 +73,7 @@ void BM_ParallelExactAverage(benchmark::State& state) {
   common::setGlobalThreadCount(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        sim::averageCyclesExact(s, engine, sim::ControlStyle::Distributed, 0.5));
+        sim::averageCyclesExact(engine, sim::ControlStyle::Distributed, 0.5));
   }
   state.SetLabel(std::to_string(state.range(0)) + " threads");
   common::setGlobalThreadCount(common::configuredThreadCount());
@@ -121,7 +121,7 @@ void BM_IncrementalExactAverageFir5(benchmark::State& state) {
   common::setGlobalThreadCount(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(sim::averageCyclesExactSweep(
-        s, engine, sim::ControlStyle::Distributed, ps));
+        engine, sim::ControlStyle::Distributed, ps));
   }
   common::setGlobalThreadCount(common::configuredThreadCount());
 }
@@ -153,7 +153,7 @@ void BM_IncrementalExactAverage(benchmark::State& state) {
   common::setGlobalThreadCount(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(sim::averageCyclesExact(
-        s, engine, sim::ControlStyle::Distributed, 0.5));
+        engine, sim::ControlStyle::Distributed, 0.5));
   }
   common::setGlobalThreadCount(common::configuredThreadCount());
 }
@@ -169,7 +169,7 @@ void BM_ClosedFormSyncAverage(benchmark::State& state) {
   const sim::MakespanEngine engine(s);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        sim::averageCyclesExact(s, engine, sim::ControlStyle::CentSync, 0.5));
+        sim::averageCyclesExact(engine, sim::ControlStyle::CentSync, 0.5));
   }
 }
 BENCHMARK(BM_ClosedFormSyncAverage);

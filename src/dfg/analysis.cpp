@@ -1,6 +1,7 @@
 #include "dfg/analysis.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <queue>
 
 #include "common/error.hpp"
@@ -56,20 +57,34 @@ int criticalPathLength(const Dfg& g, const DurationFn& dur) {
 
 bool reaches(const Dfg& g, NodeId from, NodeId to) {
   if (from == to) return false;
-  std::vector<bool> seen(g.numNodes(), false);
-  std::queue<NodeId> q;
-  q.push(from);
-  seen[from] = true;
-  while (!q.empty()) {
-    NodeId v = q.front();
-    q.pop();
-    for (NodeId s : g.combinedSuccessors(v)) {
-      if (s == to) return true;
-      if (!seen[s]) {
-        seen[s] = true;
-        q.push(s);
-      }
+  // Search backwards from `to`: each node stores its operands, and one pass
+  // indexes the sequencing edges by head (CSR), so a query costs O(V + E).
+  const std::size_t n = g.numNodes();
+  std::vector<std::uint32_t> offsets(n + 1, 0);
+  for (const auto* edges : {&g.scheduleArcs(), &g.stateEdges()}) {
+    for (const ScheduleArc& a : *edges) ++offsets[a.to + 1];
+  }
+  for (std::size_t i = 0; i < n; ++i) offsets[i + 1] += offsets[i];
+  std::vector<NodeId> tails(offsets[n]);
+  std::vector<std::uint32_t> next(offsets.begin(), offsets.end() - 1);
+  for (const auto* edges : {&g.scheduleArcs(), &g.stateEdges()}) {
+    for (const ScheduleArc& a : *edges) tails[next[a.to]++] = a.from;
+  }
+  std::vector<bool> seen(n, false);
+  std::vector<NodeId> stack;
+  const auto push = [&](NodeId v) {
+    if (!seen[v]) {
+      seen[v] = true;
+      stack.push_back(v);
     }
+  };
+  push(to);
+  while (!stack.empty()) {
+    const NodeId v = stack.back();
+    stack.pop_back();
+    if (v == from) return true;
+    for (NodeId u : g.node(v).operands) push(u);
+    for (std::uint32_t k = offsets[v]; k < offsets[v + 1]; ++k) push(tails[k]);
   }
   return false;
 }

@@ -27,7 +27,8 @@ std::vector<int> longestPathTo(const Dfg& g, const DurationFn& dur);
 /// Critical-path length of the whole graph under `dur`.
 int criticalPathLength(const Dfg& g, const DurationFn& dur);
 
-/// True when `from` reaches `to` through data edges + schedule arcs.
+/// True when `from` reaches `to` through data edges, schedule arcs and
+/// state edges.  O(V + E) per query.
 bool reaches(const Dfg& g, NodeId from, NodeId to);
 
 /// All-pairs reachability closure (data + schedule arcs); entry [a][b] is true

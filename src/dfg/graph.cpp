@@ -68,12 +68,13 @@ void Dfg::addSequencingEdge(std::vector<ScheduleArc>& edges, NodeId from,
   if (std::find(edges.begin(), edges.end(), arc) != edges.end()) {
     return;  // idempotent
   }
-  edges.push_back(arc);
-  if (!isAcyclic()) {
-    edges.pop_back();
+  // The graph is acyclic before the edge goes in, so the edge closes a
+  // cycle exactly when `to` already reaches `from`.
+  if (reaches(*this, to, from)) {
     TAUHLS_FAIL(std::string(what) + " " + nodes_[from].name + " -> " +
                 nodes_[to].name + " would create a cycle");
   }
+  edges.push_back(arc);
 }
 
 void Dfg::addScheduleArc(NodeId from, NodeId to) {

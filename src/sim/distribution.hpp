@@ -2,9 +2,8 @@
 //
 // Table 2 reports only expected latencies; for real-time budgeting the full
 // probability mass function matters.  With <= 24 TAU ops the pmf over
-// makespan cycles is computed exactly by enumerating the 2^n operand-class
-// assignments with their Bernoulli(P) weights (Gray-code incremental sweep
-// for the Distributed style; per-step masks for CentSync).
+// makespan cycles is computed exactly by a fold over the 2^n mask walker
+// (sim::walkMasks) with the Bernoulli(P) mask weights.
 #pragma once
 
 #include <map>
@@ -24,7 +23,8 @@ struct LatencyDistribution {
   int maxCycles() const;
 };
 
-/// Exact pmf under `style` at SD-ratio `p`; requires <= 24 TAU ops.
+/// Exact pmf under `style` at SD-ratio `p`; requires <= 24 TAU ops.  The
+/// same for every thread count.
 LatencyDistribution latencyDistribution(const sched::ScheduledDfg& s,
                                         ControlStyle style, double p);
 

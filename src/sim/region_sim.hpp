@@ -40,9 +40,10 @@ struct MakespanHistogram {
   static MakespanHistogram unit();
 };
 
-/// Full-enumeration histogram of one schedule under `style`; requires at
-/// most kMaxExactTauOps TAU ops.  Parallel over the fixed chunk grid and --
-/// the buckets being integers -- bit-identical for every thread count.
+/// Full-enumeration histogram of one schedule under `style`: a fold over
+/// the 2^n mask walker (sim::walkMasks), so it requires at most
+/// kMaxExactTauOps TAU ops.  The buckets are integers, hence identical for
+/// every thread count.
 MakespanHistogram makespanHistogram(const sched::ScheduledDfg& s,
                                     ControlStyle style);
 

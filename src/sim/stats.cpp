@@ -5,6 +5,7 @@
 #include <cmath>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -14,6 +15,9 @@ namespace tauhls::sim {
 
 namespace {
 
+// Monte-Carlo sample i always draws from counter seed kMcSeed + i.
+constexpr std::uint64_t kMcSeed = 1;
+
 // std::pow with the IEEE-exact trivial exponents short-circuited: pow(x,0)
 // is exactly 1 and pow(x,1) is exactly x, so the result is bit-identical to
 // the library call while skipping it for the two most common exponents.
@@ -21,18 +25,6 @@ double powInt(double base, int exponent) {
   if (exponent == 0) return 1.0;
   if (exponent == 1) return base;
   return std::pow(base, exponent);
-}
-
-// weights[c] is the probability of any specific mask with popcount c:
-// p^c * (1-p)^(n-c).  Computed once per sweep (the brute-force predecessor
-// paid two pow() calls per mask); the values match it bit-for-bit so
-// weighted sums stay bit-identical.
-void popcountWeights(int n, double p, std::vector<double>& weights) {
-  weights.resize(static_cast<std::size_t>(n) + 1);
-  for (int c = 0; c <= n; ++c) {
-    weights[static_cast<std::size_t>(c)] =
-        powInt(p, c) * powInt(1.0 - p, n - c);
-  }
 }
 
 // Per-worker scratch, handed out through a small freelist so buffers are
@@ -87,17 +79,12 @@ double weightedRangeSum(const int* cycles, std::uint64_t base,
   return partial;
 }
 
-// Expected Distributed makespan for every P in `ps`.  A mask's makespan
-// does not depend on P, so each chunk of the fixed grid (a function of n
-// only) is evaluated once into the worker's scratch and reweighted for every
-// P while it is hot.  Each P's partials are then folded in chunk order, so an
-// entry depends neither on the thread count nor on the other P values.
+// Expected Distributed makespan for every P in `ps`: one walk, each chunk
+// reweighted for every P while it is hot, each P's partials folded in chunk
+// order -- so an entry depends neither on the thread count nor on the other
+// P values.
 std::vector<double> distributedAverageExact(const MakespanEngine& engine,
                                             const std::vector<double>& ps) {
-  const int n = engine.numTauOps();
-  TAUHLS_CHECK(n <= kMaxExactTauOps,
-               "exact enumeration limited to 24 TAU ops; use "
-               "averageCyclesMonteCarlo");
   std::vector<double> out(ps.size());
   std::vector<std::size_t> swept;  // entries that need the enumeration
   std::vector<std::vector<double>> weights;
@@ -111,52 +98,142 @@ std::vector<double> distributedAverageExact(const MakespanEngine& engine,
       out[i] = engine.worstDistributedCycles();
     } else {
       swept.push_back(i);
-      popcountWeights(n, p, weights.emplace_back());
+      weights.push_back(maskWeights(engine.numTauOps(), p));
     }
   }
   if (swept.empty()) return out;
 
-  const std::uint64_t total = std::uint64_t{1} << n;
-  if (total <= 256) {
-    // Small designs fit one Gray-code walk.  Their grid has one mask per
-    // chunk, so the ascending-order sum over the walk is the chunk-order
-    // fold exactly (every term is a single rounded product).
-    MakespanEngine::DistributedSweep sweep(engine);
-    int cycles[256];
-    sweep.evalChunk(0, total, cycles);
-    for (std::size_t k = 0; k < swept.size(); ++k) {
-      out[swept[k]] = weightedRangeSum(cycles, 0, total, weights[k]);
-    }
-    return out;
-  }
-  const std::uint64_t numChunks = common::chunkCountFor(total);
-  const std::uint64_t chunkSize = total / numChunks;  // both are powers of 2
-  const std::size_t numSwept = swept.size();
-  std::vector<double> partials(static_cast<std::size_t>(numChunks) * numSwept);
-  ScratchPool pool(engine);
-  common::parallelFor(
-      static_cast<std::size_t>(numChunks), [&](std::size_t chunk) {
-        std::unique_ptr<SweepScratch> scratch = pool.acquire();
-        scratch->cycles.resize(chunkSize);
-        const std::uint64_t begin = chunk * chunkSize;
-        scratch->sweep.evalChunk(begin, chunkSize, scratch->cycles.data());
-        for (std::size_t k = 0; k < numSwept; ++k) {
-          partials[chunk * numSwept + k] = weightedRangeSum(
-              scratch->cycles.data(), begin, chunkSize, weights[k]);
-        }
-        pool.release(std::move(scratch));
-      });
-  for (std::size_t k = 0; k < numSwept; ++k) {
+  const std::vector<std::vector<double>> partials =
+      walkMasks<std::vector<double>>(
+          engine, ControlStyle::Distributed,
+          [&](std::uint64_t base, std::uint64_t count, const int* cycles) {
+            std::vector<double> sums(weights.size());
+            for (std::size_t k = 0; k < weights.size(); ++k) {
+              sums[k] = weightedRangeSum(cycles, base, count, weights[k]);
+            }
+            return sums;
+          });
+  for (std::size_t k = 0; k < swept.size(); ++k) {
     double acc = 0.0;
-    for (std::size_t chunk = 0; chunk < numChunks; ++chunk) {
-      acc += partials[chunk * numSwept + k];
-    }
+    for (const std::vector<double>& sums : partials) acc += sums[k];
     out[swept[k]] = acc;
   }
   return out;
 }
 
+// Deterministic first and second moments of the makespan over `total`
+// counter-seeded samples (sample i is always kMcSeed + i; partials fold in
+// ascending chunk order).
+std::pair<double, double> mcMoments(const sched::ScheduledDfg& s,
+                                    const MakespanEngine& engine,
+                                    ControlStyle style, double p,
+                                    std::uint64_t total) {
+  const int n = engine.numTauOps();
+  const bool maskable = engine.supportsMasks();
+  const std::vector<dfg::NodeId> taus = maskable ? std::vector<dfg::NodeId>{}
+                                                 : tauOps(s);
+  const std::uint64_t numChunks = common::chunkCountFor(total);
+  const std::uint64_t chunkSize = (total + numChunks - 1) / numChunks;
+  ScratchPool pool(engine);
+  using Moments = std::pair<double, double>;
+  return common::parallelReduce<Moments>(
+      static_cast<std::size_t>(numChunks), {0.0, 0.0},
+      [&](std::size_t chunk) {
+        const std::uint64_t begin = chunk * chunkSize;
+        const std::uint64_t end =
+            begin + chunkSize < total ? begin + chunkSize : total;
+        Moments partial{0.0, 0.0};
+        if (maskable) {
+          // Mask-native sampling: no OperandClasses vector, one reused sweep.
+          std::unique_ptr<SweepScratch> scratch =
+              style == ControlStyle::Distributed ? pool.acquire() : nullptr;
+          for (std::uint64_t i = begin; i < end; ++i) {
+            const std::uint64_t mask = randomClassMask(n, p, kMcSeed + i);
+            const double cycles = style == ControlStyle::Distributed
+                                      ? scratch->sweep.evalFull(mask)
+                                      : engine.syncCycles(mask);
+            partial.first += cycles;
+            partial.second += cycles * cycles;
+          }
+          if (scratch) pool.release(std::move(scratch));
+        } else {
+          OperandClasses classes;
+          for (std::uint64_t i = begin; i < end; ++i) {
+            randomClasses(s, taus, p, kMcSeed + i, classes);
+            const double cycles = style == ControlStyle::Distributed
+                                      ? engine.distributedCycles(classes)
+                                      : engine.syncCycles(classes);
+            partial.first += cycles;
+            partial.second += cycles * cycles;
+          }
+        }
+        return partial;
+      },
+      [](Moments acc, Moments partial) {
+        return Moments{acc.first + partial.first, acc.second + partial.second};
+      });
+}
+
 }  // namespace
+
+std::vector<double> maskWeights(int n, double p) {
+  std::vector<double> weights(static_cast<std::size_t>(n) + 1);
+  for (int c = 0; c <= n; ++c) {
+    weights[static_cast<std::size_t>(c)] =
+        powInt(p, c) * powInt(1.0 - p, n - c);
+  }
+  return weights;
+}
+
+namespace detail {
+
+std::size_t maskChunkCount(int numTauOps) {
+  TAUHLS_CHECK(numTauOps <= kMaxExactTauOps,
+               "exact enumeration needs <= " + std::to_string(kMaxExactTauOps) +
+                   " TAU ops, got " + std::to_string(numTauOps));
+  const std::uint64_t total = std::uint64_t{1} << numTauOps;
+  return total <= 256 ? 1
+                      : static_cast<std::size_t>(common::chunkCountFor(total));
+}
+
+void walkMaskChunks(const MakespanEngine& engine, ControlStyle style,
+                    const MaskChunkVisitor& visit) {
+  const int n = engine.numTauOps();
+  const std::size_t numChunks = maskChunkCount(n);
+  const auto fill = [&](MakespanEngine::DistributedSweep& sweep,
+                        std::uint64_t base, std::uint64_t count, int* cycles) {
+    if (style == ControlStyle::Distributed) {
+      sweep.evalChunk(base, count, cycles);
+      return;
+    }
+    for (std::uint64_t off = 0; off < count; ++off) {
+      cycles[off] = engine.syncCycles(base + off);
+    }
+  };
+  const std::uint64_t total = std::uint64_t{1} << n;
+  if (numChunks == 1) {
+    // Small designs fit one walk.  Their chunkCountFor grid would hold one
+    // mask per chunk, so an ascending-order fold over the single walk
+    // associates exactly like the chunk-order fold over that grid.
+    MakespanEngine::DistributedSweep sweep(engine);
+    int cycles[256];
+    fill(sweep, 0, total, cycles);
+    visit(0, 0, total, cycles);
+    return;
+  }
+  const std::uint64_t chunkSize = total / numChunks;  // both are powers of 2
+  ScratchPool pool(engine);
+  common::parallelFor(numChunks, [&](std::size_t chunk) {
+    std::unique_ptr<SweepScratch> scratch = pool.acquire();
+    scratch->cycles.resize(chunkSize);
+    const std::uint64_t base = chunk * chunkSize;
+    fill(scratch->sweep, base, chunkSize, scratch->cycles.data());
+    visit(chunk, base, chunkSize, scratch->cycles.data());
+    pool.release(std::move(scratch));
+  });
+}
+
+}  // namespace detail
 
 int makespanCycles(const sched::ScheduledDfg& s, ControlStyle style,
                    const OperandClasses& classes) {
@@ -185,23 +262,18 @@ int worstCaseCycles(const sched::ScheduledDfg& s, ControlStyle style) {
 
 double averageCyclesExact(const sched::ScheduledDfg& s, ControlStyle style,
                           double p) {
-  return averageCyclesExact(s, MakespanEngine(s), style, p);
+  return averageCyclesExact(MakespanEngine(s), style, p);
 }
 
-double averageCyclesExact(const sched::ScheduledDfg& s,
-                          const MakespanEngine& engine, ControlStyle style,
+double averageCyclesExact(const MakespanEngine& engine, ControlStyle style,
                           double p) {
-  (void)s;
   TAUHLS_CHECK(p >= 0.0 && p <= 1.0, "P must lie in [0,1]");
-  if (style == ControlStyle::CentSync) return engine.syncExpectedCycles(p);
-  return distributedAverageExact(engine, {p}).front();
+  return averageCyclesExactSweep(engine, style, {p}).front();
 }
 
-std::vector<double> averageCyclesExactSweep(const sched::ScheduledDfg& s,
-                                            const MakespanEngine& engine,
+std::vector<double> averageCyclesExactSweep(const MakespanEngine& engine,
                                             ControlStyle style,
                                             const std::vector<double>& ps) {
-  (void)s;
   if (style == ControlStyle::Distributed) {
     return distributedAverageExact(engine, ps);
   }
@@ -219,8 +291,7 @@ double averageCyclesExactReference(const sched::ScheduledDfg& s,
   const std::vector<dfg::NodeId> taus = tauOps(s);
   const int n = static_cast<int>(taus.size());
   TAUHLS_CHECK(n <= kMaxExactTauOps,
-               "exact enumeration limited to 24 TAU ops; use "
-               "averageCyclesMonteCarlo");
+               "exact enumeration limited to 24 TAU ops");
   const std::uint64_t total = std::uint64_t{1} << n;
   const std::uint64_t numChunks = common::chunkCountFor(total);
   const std::uint64_t chunkSize = total / numChunks;
@@ -249,115 +320,26 @@ double averageCyclesExactReference(const sched::ScheduledDfg& s,
       [](double acc, double partial) { return acc + partial; });
 }
 
-double averageCyclesMonteCarlo(const sched::ScheduledDfg& s, ControlStyle style,
-                               double p, int samples, std::uint64_t seed) {
-  return averageCyclesMonteCarlo(s, MakespanEngine(s), style, p, samples, seed);
+LatencyComparison latencyComparison(const std::vector<double>& ps,
+                                    double clockNs, LatencyRow tauCycles,
+                                    LatencyRow distCycles) {
+  LatencyComparison out;
+  out.ps = ps;
+  out.tau = std::move(tauCycles);
+  out.dist = std::move(distCycles);
+  for (LatencyRow* row : {&out.tau, &out.dist}) {
+    row->bestNs *= clockNs;
+    row->worstNs *= clockNs;
+    for (double& avg : row->averageNs) avg *= clockNs;
+  }
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    const double tau = out.tau.averageNs[i];
+    const double dist = out.dist.averageNs[i];
+    out.enhancementPercent.push_back(tau > 0.0 ? (tau - dist) / tau * 100.0
+                                               : 0.0);
+  }
+  return out;
 }
-
-double averageCyclesMonteCarlo(const sched::ScheduledDfg& s,
-                               const MakespanEngine& engine, ControlStyle style,
-                               double p, int samples, std::uint64_t seed) {
-  TAUHLS_CHECK(samples > 0, "need at least one sample");
-  TAUHLS_CHECK(p >= 0.0 && p <= 1.0, "P must lie in [0,1]");
-  const int n = engine.numTauOps();
-  const bool maskable = engine.supportsMasks();
-  const std::vector<dfg::NodeId> taus = maskable ? std::vector<dfg::NodeId>{}
-                                                 : tauOps(s);
-  // Sample i always draws from counter seed `seed + i` and the sample range
-  // is cut into a fixed chunk grid, so the estimate does not depend on how
-  // many threads computed it.
-  const std::uint64_t total = static_cast<std::uint64_t>(samples);
-  const std::uint64_t numChunks = common::chunkCountFor(total);
-  const std::uint64_t chunkSize = (total + numChunks - 1) / numChunks;
-  ScratchPool pool(engine);
-  const double sum = common::parallelReduce<double>(
-      static_cast<std::size_t>(numChunks), 0.0,
-      [&](std::size_t chunk) {
-        const std::uint64_t begin = chunk * chunkSize;
-        const std::uint64_t end =
-            begin + chunkSize < total ? begin + chunkSize : total;
-        double partial = 0.0;
-        if (maskable) {
-          // Mask-native sampling: no OperandClasses vector, one reused sweep.
-          std::unique_ptr<SweepScratch> scratch =
-              style == ControlStyle::Distributed ? pool.acquire() : nullptr;
-          for (std::uint64_t i = begin; i < end; ++i) {
-            const std::uint64_t mask = randomClassMask(n, p, seed + i);
-            partial += style == ControlStyle::Distributed
-                           ? scratch->sweep.evalFull(mask)
-                           : engine.syncCycles(mask);
-          }
-          if (scratch) pool.release(std::move(scratch));
-        } else {
-          OperandClasses classes;
-          for (std::uint64_t i = begin; i < end; ++i) {
-            randomClasses(s, taus, p, seed + i, classes);
-            partial += style == ControlStyle::Distributed
-                           ? engine.distributedCycles(classes)
-                           : engine.syncCycles(classes);
-          }
-        }
-        return partial;
-      },
-      [](double acc, double partial) { return acc + partial; });
-  return sum / samples;
-}
-
-namespace {
-
-/// Deterministic first and second moments of the makespan over `total`
-/// counter-seeded samples (sample i is always seed + i; partials fold in
-/// ascending chunk order).
-std::pair<double, double> mcMoments(const sched::ScheduledDfg& s,
-                                    const MakespanEngine& engine,
-                                    ControlStyle style, double p,
-                                    std::uint64_t total, std::uint64_t seed) {
-  const int n = engine.numTauOps();
-  const bool maskable = engine.supportsMasks();
-  const std::vector<dfg::NodeId> taus = maskable ? std::vector<dfg::NodeId>{}
-                                                 : tauOps(s);
-  const std::uint64_t numChunks = common::chunkCountFor(total);
-  const std::uint64_t chunkSize = (total + numChunks - 1) / numChunks;
-  ScratchPool pool(engine);
-  using Moments = std::pair<double, double>;
-  return common::parallelReduce<Moments>(
-      static_cast<std::size_t>(numChunks), {0.0, 0.0},
-      [&](std::size_t chunk) {
-        const std::uint64_t begin = chunk * chunkSize;
-        const std::uint64_t end =
-            begin + chunkSize < total ? begin + chunkSize : total;
-        Moments partial{0.0, 0.0};
-        if (maskable) {
-          std::unique_ptr<SweepScratch> scratch =
-              style == ControlStyle::Distributed ? pool.acquire() : nullptr;
-          for (std::uint64_t i = begin; i < end; ++i) {
-            const std::uint64_t mask = randomClassMask(n, p, seed + i);
-            const double cycles = style == ControlStyle::Distributed
-                                      ? scratch->sweep.evalFull(mask)
-                                      : engine.syncCycles(mask);
-            partial.first += cycles;
-            partial.second += cycles * cycles;
-          }
-          if (scratch) pool.release(std::move(scratch));
-        } else {
-          OperandClasses classes;
-          for (std::uint64_t i = begin; i < end; ++i) {
-            randomClasses(s, taus, p, seed + i, classes);
-            const double cycles = style == ControlStyle::Distributed
-                                      ? engine.distributedCycles(classes)
-                                      : engine.syncCycles(classes);
-            partial.first += cycles;
-            partial.second += cycles * cycles;
-          }
-        }
-        return partial;
-      },
-      [](Moments acc, Moments partial) {
-        return Moments{acc.first + partial.first, acc.second + partial.second};
-      });
-}
-
-}  // namespace
 
 McEstimate averageCyclesMonteCarloAdaptive(const sched::ScheduledDfg& s,
                                            const MakespanEngine& engine,
@@ -375,8 +357,7 @@ McEstimate averageCyclesMonteCarloAdaptive(const sched::ScheduledDfg& s,
     // Each round recomputes its moments from scratch over samples [0, n):
     // the doubling costs at most one extra pass in total, and the result
     // for a given n never depends on the rounds that preceded it.
-    const auto [sum, sumSq] =
-        mcMoments(s, engine, style, p, n, options.mcSeed);
+    const auto [sum, sumSq] = mcMoments(s, engine, style, p, n);
     est.mean = sum / static_cast<double>(n);
     est.samples = n;
     const double variance =
@@ -394,27 +375,18 @@ LatencyComparison compareLatencies(const sched::ScheduledDfg& s,
                                    const std::vector<double>& ps,
                                    const LatencyOptions& options,
                                    std::vector<McEstimate>* mcInfo) {
+  // One engine serves every (style, P) cell of the comparison.
   const MakespanEngine engine(s);
-  const bool exactDist = engine.numTauOps() <= options.exactCap &&
-                         engine.numTauOps() <= kMaxExactTauOps;
-  LatencyComparison out;
-  out.ps = ps;
-  out.tau.bestNs = engine.bestSyncCycles() * s.clockNs;
-  out.tau.worstNs = engine.worstSyncCycles() * s.clockNs;
-  out.dist.bestNs = engine.bestDistributedCycles() * s.clockNs;
-  out.dist.worstNs = engine.worstDistributedCycles() * s.clockNs;
-  out.tau.averageNs.resize(ps.size());
-  out.dist.averageNs.resize(ps.size());
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    out.tau.averageNs[i] = engine.syncExpectedCycles(ps[i]) * s.clockNs;
-  }
+  LatencyRow tau{static_cast<double>(engine.bestSyncCycles()),
+                 averageCyclesExactSweep(engine, ControlStyle::CentSync, ps),
+                 static_cast<double>(engine.worstSyncCycles())};
+  LatencyRow dist{static_cast<double>(engine.bestDistributedCycles()),
+                  {},
+                  static_cast<double>(engine.worstDistributedCycles())};
   if (mcInfo != nullptr) mcInfo->assign(ps.size(), McEstimate{});
-  if (exactDist) {
-    const std::vector<double> cycles =
-        averageCyclesExactSweep(s, engine, ControlStyle::Distributed, ps);
-    for (std::size_t i = 0; i < ps.size(); ++i) {
-      out.dist.averageNs[i] = cycles[i] * s.clockNs;
-    }
+  if (engine.numTauOps() <= kMaxExactTauOps) {
+    dist.averageNs =
+        averageCyclesExactSweep(engine, ControlStyle::Distributed, ps);
   } else {
     // Each P runs its own doubling loop; the loops already parallelize
     // internally over the sample range, so the fan-out here stays serial
@@ -422,63 +394,11 @@ LatencyComparison compareLatencies(const sched::ScheduledDfg& s,
     for (std::size_t i = 0; i < ps.size(); ++i) {
       const McEstimate est = averageCyclesMonteCarloAdaptive(
           s, engine, ControlStyle::Distributed, ps[i], options);
-      out.dist.averageNs[i] = est.mean * s.clockNs;
+      dist.averageNs.push_back(est.mean);
       if (mcInfo != nullptr) (*mcInfo)[i] = est;
     }
   }
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    const double tau = out.tau.averageNs[i];
-    const double dist = out.dist.averageNs[i];
-    out.enhancementPercent.push_back(tau > 0.0 ? (tau - dist) / tau * 100.0
-                                               : 0.0);
-  }
-  return out;
-}
-
-LatencyComparison compareLatencies(const sched::ScheduledDfg& s,
-                                   const std::vector<double>& ps,
-                                   int mcSamples) {
-  // One engine serves every (style, P) cell of the sweep -- the schedule,
-  // binding and topological bookkeeping are built once, not per point.
-  const MakespanEngine engine(s);
-  // Exact-vs-MC is picked per style: CentSync is closed-form (always exact);
-  // Distributed enumerates up to the 24-TAU-op cap.
-  const bool exactDist = engine.numTauOps() <= kMaxExactTauOps;
-  LatencyComparison out;
-  out.ps = ps;
-  out.tau.bestNs = engine.bestSyncCycles() * s.clockNs;
-  out.tau.worstNs = engine.worstSyncCycles() * s.clockNs;
-  out.dist.bestNs = engine.bestDistributedCycles() * s.clockNs;
-  out.dist.worstNs = engine.worstDistributedCycles() * s.clockNs;
-  out.tau.averageNs.resize(ps.size());
-  out.dist.averageNs.resize(ps.size());
-  // LT_TAU column: closed form, O(steps) per P.
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    out.tau.averageNs[i] = engine.syncExpectedCycles(ps[i]) * s.clockNs;
-  }
-  // LT_DIST column: one shared enumeration reweighted per P when exact;
-  // independent Monte-Carlo cells fanned out otherwise.
-  if (exactDist) {
-    const std::vector<double> cycles =
-        averageCyclesExactSweep(s, engine, ControlStyle::Distributed, ps);
-    for (std::size_t i = 0; i < ps.size(); ++i) {
-      out.dist.averageNs[i] = cycles[i] * s.clockNs;
-    }
-  } else {
-    common::parallelFor(ps.size(), [&](std::size_t i) {
-      out.dist.averageNs[i] =
-          averageCyclesMonteCarlo(s, engine, ControlStyle::Distributed, ps[i],
-                                  mcSamples) *
-          s.clockNs;
-    });
-  }
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    const double tau = out.tau.averageNs[i];
-    const double dist = out.dist.averageNs[i];
-    out.enhancementPercent.push_back(tau > 0.0 ? (tau - dist) / tau * 100.0
-                                               : 0.0);
-  }
-  return out;
+  return latencyComparison(ps, s.clockNs, std::move(tau), std::move(dist));
 }
 
 int makespanCycles(const sched::ScheduledDfg& s, ControlStyle style,

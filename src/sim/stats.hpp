@@ -6,28 +6,31 @@
 //    O(steps) regardless of the TAU count -- the sync column of every sweep
 //    is always exact, with no enumeration cap.
 //  * Distributed averages enumerate all 2^n SD/LD assignments of the n
-//    TAU-bound ops whenever n <= 24.  The enumeration walks each chunk in
-//    Gray-code order so consecutive masks differ in a single TAU op, which a
-//    MakespanEngine::DistributedSweep re-evaluates incrementally (worklist
-//    delta propagation over a CSR successor index); per-mask weights come
-//    from a precomputed popcount table and per-worker scratch buffers are
-//    reused across all masks, so the hot loop performs no allocation.  A
-//    mask's makespan does not depend on P, so one enumeration serves every
-//    P of a sweep: each chunk is evaluated once and reweighted per P.
-//  * Seeded Monte-Carlo sampling for larger designs (samples are drawn as
-//    masks and evaluated through the same scratch engine).
+//    TAU-bound ops whenever n <= 24, through the one mask walker (walkMasks):
+//    each chunk is walked in Gray-code order so consecutive masks differ in a
+//    single TAU op, which a MakespanEngine::DistributedSweep re-evaluates
+//    incrementally; per-worker scratch is reused across chunks, so the hot
+//    loop performs no allocation.  A mask's makespan does not depend on P, so
+//    one walk serves every P of a sweep: each chunk is reweighted per P while
+//    it is hot.  The exact pmf (distribution.hpp) and the makespan histogram
+//    (region_sim.hpp) are folds over the same walker.
+//  * Seeded Monte-Carlo sampling for larger designs: one adaptive estimator
+//    (samples are drawn as masks and evaluated through the same scratch
+//    engine); a fixed sample count N is the estimator with
+//    mcSamples == mcMaxSamples == N.
 //
 // All estimators are parallel (common/parallel.hpp; TAUHLS_THREADS lanes)
 // and deterministic: the enumeration/sample space is cut into a fixed chunk
-// grid that depends only on the problem size, per-chunk partial sums are
-// folded in chunk-index order (the Gray-code walk only reorders *evaluation*;
-// the weighted accumulation stays in ascending mask order), and Monte-Carlo
-// sample i always draws from counter seed `seed + i` -- so every statistic is
+// grid that depends only on the problem size, per-chunk partials are folded
+// in chunk-index order (the Gray-code walk only reorders *evaluation*; the
+// weighted accumulation stays in ascending mask order), and Monte-Carlo
+// sample i always draws from counter seed 1 + i -- so every statistic is
 // bit-identical for any thread count, and the enumeration result is
 // bit-identical to the brute-force reference implementation.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "sim/makespan.hpp"
@@ -55,6 +58,39 @@ int worstCaseCycles(const sched::ScheduledDfg& s, ControlStyle style);
 int bestCaseCycles(const MakespanEngine& engine, ControlStyle style);
 int worstCaseCycles(const MakespanEngine& engine, ControlStyle style);
 
+/// weights[c] is the probability of one specific mask of `n` TAU ops with
+/// c of them SD: p^c * (1-p)^(n-c), bit-identical to two std::pow calls.
+std::vector<double> maskWeights(int n, double p);
+
+namespace detail {
+using MaskChunkVisitor =
+    std::function<void(std::size_t chunk, std::uint64_t base,
+                       std::uint64_t count, const int* cycles)>;
+std::size_t maskChunkCount(int numTauOps);
+void walkMaskChunks(const MakespanEngine& engine, ControlStyle style,
+                    const MaskChunkVisitor& visit);
+}  // namespace detail
+
+/// The 2^n mask walker: the makespan under `style` of every class mask of
+/// the engine's TAU ops (requires n <= kMaxExactTauOps).  The masks are cut
+/// into a fixed chunk grid (one chunk when 2^n <= 256); map(base, count,
+/// cycles) sees cycles[off] = makespan of mask base + off and returns the
+/// chunk's partial.  Chunks run concurrently on per-worker scratch, so `map`
+/// must only read shared state.  The partials come back in chunk order; a
+/// caller that folds them in that order gets the same result for every
+/// thread count.  Distributed makespans come from the Gray-code evalChunk,
+/// CentSync ones from syncCycles(mask).
+template <typename T, typename Map>
+std::vector<T> walkMasks(const MakespanEngine& engine, ControlStyle style,
+                         Map&& map) {
+  std::vector<T> partials(detail::maskChunkCount(engine.numTauOps()));
+  detail::walkMaskChunks(
+      engine, style,
+      [&](std::size_t chunk, std::uint64_t base, std::uint64_t count,
+          const int* cycles) { partials[chunk] = map(base, count, cycles); });
+  return partials;
+}
+
 /// Expected makespan (cycles): closed form for CentSync (any TAU count),
 /// exact enumeration for Distributed (requires <= 24 TAU ops).
 double averageCyclesExact(const sched::ScheduledDfg& s, ControlStyle style,
@@ -62,20 +98,16 @@ double averageCyclesExact(const sched::ScheduledDfg& s, ControlStyle style,
 
 /// As above, reusing a prebuilt engine (sweeps evaluate many P values per
 /// schedule; building the engine once is the memoized fast path).
-double averageCyclesExact(const sched::ScheduledDfg& s,
-                          const MakespanEngine& engine, ControlStyle style,
+double averageCyclesExact(const MakespanEngine& engine, ControlStyle style,
                           double p);
 
 /// Expected makespan for every P in `ps` at once.  The Distributed makespan
-/// of a mask does not depend on P, so each chunk of the 2^n assignments is
-/// evaluated a single time, into a per-worker buffer of one chunk (no buffer
-/// grows with 2^n), and reweighted for every P while it is hot.  Each P's
+/// of a mask does not depend on P, so one walk of the 2^n assignments serves
+/// every P: each chunk is reweighted for every P while it is hot.  Each P's
 /// partials fold in chunk order, so every entry is bit-identical to the
-/// corresponding averageCyclesExact(s, engine, style, ps[i]) call, which is
-/// this sweep for one P.  This is the Table 2 path: one Gray-code
-/// enumeration serves the whole P column.
-std::vector<double> averageCyclesExactSweep(const sched::ScheduledDfg& s,
-                                            const MakespanEngine& engine,
+/// corresponding averageCyclesExact(engine, style, ps[i]) call, which is
+/// this sweep for one P.  This is the Table 2 path.
+std::vector<double> averageCyclesExactSweep(const MakespanEngine& engine,
                                             ControlStyle style,
                                             const std::vector<double>& ps);
 
@@ -86,15 +118,6 @@ std::vector<double> averageCyclesExactSweep(const sched::ScheduledDfg& s,
 double averageCyclesExactReference(const sched::ScheduledDfg& s,
                                    const MakespanEngine& engine,
                                    ControlStyle style, double p);
-
-/// Expected makespan (cycles) by Monte-Carlo sampling.
-double averageCyclesMonteCarlo(const sched::ScheduledDfg& s, ControlStyle style,
-                               double p, int samples, std::uint64_t seed = 1);
-
-/// As above, reusing a prebuilt engine.
-double averageCyclesMonteCarlo(const sched::ScheduledDfg& s,
-                               const MakespanEngine& engine, ControlStyle style,
-                               double p, int samples, std::uint64_t seed = 1);
 
 /// One Table 2 row for one control style.
 struct LatencyRow {
@@ -112,12 +135,11 @@ struct LatencyComparison {
   std::vector<double> enhancementPercent;  ///< (tau - dist) / tau * 100, per P
 };
 
-/// Compute the comparison.  The CentSync row is always closed-form exact;
-/// the Distributed row uses exact enumeration up to 24 TAU ops and falls
-/// back to Monte-Carlo with `mcSamples` samples beyond.
-LatencyComparison compareLatencies(const sched::ScheduledDfg& s,
-                                   const std::vector<double>& ps,
-                                   int mcSamples = 20000);
+/// The comparison from per-style rows given in *cycles*: every field is
+/// scaled by `clockNs` and the enhancement row is derived per P.
+LatencyComparison latencyComparison(const std::vector<double>& ps,
+                                    double clockNs, LatencyRow tauCycles,
+                                    LatencyRow distCycles);
 
 /// A seeded confidence-interval Monte-Carlo estimate: mean cycles, the 95%
 /// CI half-width around it, and how many samples were spent to get there.
@@ -127,11 +149,8 @@ struct McEstimate {
   std::uint64_t samples = 0;
 };
 
-/// Crossover policy of the adaptive compareLatencies overload.
+/// Monte-Carlo policy past the exact-enumeration cap.
 struct LatencyOptions {
-  /// TAU-op count up to which the Distributed column is enumerated exactly;
-  /// beyond it the adaptive Monte-Carlo estimator takes over.
-  int exactCap = kMaxExactTauOps;
   /// First Monte-Carlo batch; rounds double from here.
   int mcSamples = 20000;
   /// Hard per-P sample ceiling (the estimator stops doubling here even if
@@ -139,26 +158,26 @@ struct LatencyOptions {
   int mcMaxSamples = 1 << 20;
   /// Stop once the 95% CI half-width (in cycles) is at or below this.
   double mcTargetHalfWidth = 0.05;
-  std::uint64_t mcSeed = 1;
 };
 
 /// Adaptive seeded Monte-Carlo: sample counts double (each round recomputed
 /// from scratch over counter seeds, so the estimate is bit-identical for any
 /// thread count) until the 95% CI half-width reaches
-/// `options.mcTargetHalfWidth` or `options.mcMaxSamples` is hit.
+/// `options.mcTargetHalfWidth` or `options.mcMaxSamples` is hit.  With
+/// mcSamples == mcMaxSamples it is a fixed-N estimate.
 McEstimate averageCyclesMonteCarloAdaptive(const sched::ScheduledDfg& s,
                                            const MakespanEngine& engine,
                                            ControlStyle style, double p,
                                            const LatencyOptions& options = {});
 
-/// Adaptive exact<->MC crossover: exact Gray-code enumeration up to
-/// `options.exactCap` TAU ops, the confidence-interval Monte-Carlo estimator
-/// beyond it.  With default options and <= 24 TAU ops this is bit-identical
-/// to the legacy compareLatencies above.  When `mcInfo` is non-null it
-/// receives one entry per P (empty estimates when the exact path ran).
+/// The Table 2 comparison: the CentSync row is always closed-form exact; the
+/// Distributed row is enumerated exactly up to kMaxExactTauOps TAU ops and
+/// estimated by the adaptive Monte-Carlo estimator beyond.  When `mcInfo`
+/// is non-null it receives one entry per P (empty estimates when the exact
+/// path ran).
 LatencyComparison compareLatencies(const sched::ScheduledDfg& s,
                                    const std::vector<double>& ps,
-                                   const LatencyOptions& options,
+                                   const LatencyOptions& options = {},
                                    std::vector<McEstimate>* mcInfo = nullptr);
 
 // --- multi-level units (paper §6) ---------------------------------------

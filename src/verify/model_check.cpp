@@ -162,13 +162,35 @@ EventAnalysis analyzeEvents(const fsm::Fsm& m, const OpTable& table,
   return a;
 }
 
-std::string joinNames(const OpTable& table, const std::set<int>& ops) {
-  std::string out;
-  for (const int i : ops) {
-    if (!out.empty()) out += ", ";
-    out += table.names[static_cast<std::size_t>(i)];
+void checkAlphabets(const OpTable& table, const std::set<int>& distributed,
+                    const std::set<int>& central, const std::string& artifact,
+                    Report& report) {
+  const auto names = [&](const std::set<int>& ops) {
+    std::string out;
+    for (const int i : ops) {
+      if (!out.empty()) out += ", ";
+      out += table.names[static_cast<std::size_t>(i)];
+    }
+    return out;
+  };
+  std::set<int> onlyDistributed;
+  std::set<int> onlyCentral;
+  std::set_difference(distributed.begin(), distributed.end(), central.begin(),
+                      central.end(),
+                      std::inserter(onlyDistributed, onlyDistributed.end()));
+  std::set_difference(central.begin(), central.end(), distributed.begin(),
+                      distributed.end(),
+                      std::inserter(onlyCentral, onlyCentral.end()));
+  if (onlyDistributed.empty() && onlyCentral.empty()) return;
+  std::string msg = "per-iteration register-enable sets differ:";
+  if (!onlyDistributed.empty()) {
+    msg += " only distributed: " + names(onlyDistributed) + ";";
   }
-  return out;
+  if (!onlyCentral.empty()) {
+    msg += " only cent_sync: " + names(onlyCentral) + ";";
+  }
+  msg.pop_back();
+  report.add("MDL006", artifact, "", msg);
 }
 
 }  // namespace detail
@@ -179,7 +201,6 @@ using detail::EventAnalysis;
 using detail::OpTable;
 using detail::analyzeEvents;
 using detail::buildOpTable;
-using detail::joinNames;
 using detail::oneShotController;
 
 /// Build the one-shot product and run all distributed-side checks.  Returns
@@ -320,25 +341,8 @@ void modelCheckControllers(const fsm::DistributedControlUnit& dcu,
       analyzeEvents(centSync, table, "fsm " + centSync.name(), report);
 
   if (productAlphabet.has_value()) {
-    std::set<int> onlyDistributed;
-    std::set<int> onlyCentral;
-    std::set_difference(productAlphabet->begin(), productAlphabet->end(),
-                        cent.alphabet.begin(), cent.alphabet.end(),
-                        std::inserter(onlyDistributed, onlyDistributed.end()));
-    std::set_difference(cent.alphabet.begin(), cent.alphabet.end(),
-                        productAlphabet->begin(), productAlphabet->end(),
-                        std::inserter(onlyCentral, onlyCentral.end()));
-    if (!onlyDistributed.empty() || !onlyCentral.empty()) {
-      std::string msg = "per-iteration register-enable sets differ:";
-      if (!onlyDistributed.empty()) {
-        msg += " only distributed: " + joinNames(table, onlyDistributed) + ";";
-      }
-      if (!onlyCentral.empty()) {
-        msg += " only cent_sync: " + joinNames(table, onlyCentral) + ";";
-      }
-      msg.pop_back();
-      report.add("MDL006", "product " + s.graph.name(), "", msg);
-    }
+    detail::checkAlphabets(table, *productAlphabet, cent.alphabet,
+                           "product " + s.graph.name(), report);
   }
 }
 

@@ -98,7 +98,11 @@ struct EventAnalysis {
 EventAnalysis analyzeEvents(const fsm::Fsm& m, const OpTable& table,
                             const std::string& artifact, Report& report);
 
-std::string joinNames(const OpTable& table, const std::set<int>& ops);
+/// MDL006: report on `artifact` when the distributed per-iteration
+/// register-enable alphabet differs from the CENT-SYNC one.
+void checkAlphabets(const OpTable& table, const std::set<int>& distributed,
+                    const std::set<int>& central, const std::string& artifact,
+                    Report& report);
 
 }  // namespace detail
 

@@ -215,8 +215,7 @@ StepCones buildStep(Network& net, const OpTable& table, bool extTrue) {
 /// strengthening invariant, whose base case is checked from the initial
 /// state, so a mis-derivation on a mutated controller disables induction
 /// instead of causing an unsound proof.
-void derivePositions(ControllerModel& cm, const OpTable& table,
-                     const std::map<std::string, int>& opIndexOfName) {
+void derivePositions(ControllerModel& cm, const OpTable& table) {
   const std::size_t numStates = cm.fsm.numStates();
   cm.completesOp.assign(numStates, -1);
   cm.statePos.assign(numStates, -1);
@@ -260,7 +259,6 @@ void derivePositions(ControllerModel& cm, const OpTable& table,
   for (int& p : cm.statePos) {
     if (p < 0) p = 0;  // unreachable with generated controllers
   }
-  (void)opIndexOfName;
 }
 
 /// Exactly-one-of over `lits` violated: none set, or at least two set.
@@ -309,7 +307,7 @@ Network buildNetwork(const fsm::DistributedControlUnit& dcu,
     for (const std::string& sig : src.latchedInputs) {
       cm.lat[sig] = net.g.addInput("lat:" + cm.fsm.name() + ":" + sig);
     }
-    derivePositions(cm, table, opIndexOfName);
+    derivePositions(cm, table);
     net.ctls.push_back(std::move(cm));
   }
   for (const std::string& name : table.names) {
@@ -758,27 +756,7 @@ SymbolicArtifact symbolicModelCheck(const fsm::DistributedControlUnit& dcu,
       for (int i = 0; i < static_cast<int>(table.names.size()); ++i) {
         all.insert(i);
       }
-      std::set<int> onlyDistributed;
-      std::set<int> onlyCentral;
-      std::set_difference(all.begin(), all.end(), cent.alphabet.begin(),
-                          cent.alphabet.end(),
-                          std::inserter(onlyDistributed, onlyDistributed.end()));
-      std::set_difference(cent.alphabet.begin(), cent.alphabet.end(),
-                          all.begin(), all.end(),
-                          std::inserter(onlyCentral, onlyCentral.end()));
-      if (!onlyDistributed.empty() || !onlyCentral.empty()) {
-        std::string msg = "per-iteration register-enable sets differ:";
-        if (!onlyDistributed.empty()) {
-          msg += " only distributed: " +
-                 detail::joinNames(table, onlyDistributed) + ";";
-        }
-        if (!onlyCentral.empty()) {
-          msg += " only cent_sync: " + detail::joinNames(table, onlyCentral) +
-                 ";";
-        }
-        msg.pop_back();
-        out.report.add("MDL006", artifact, "", msg);
-      }
+      detail::checkAlphabets(table, all, cent.alphabet, artifact, out.report);
     }
   }
   return out;

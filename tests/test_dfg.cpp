@@ -93,6 +93,25 @@ TEST(Dfg, ScheduleArcRules) {
   EXPECT_TRUE(g.scheduleArcs().empty());
 }
 
+// A cycle closed through one operand edge, one schedule arc and one state
+// edge is rejected, whichever kind of edge closes it; the graph is left as
+// it was.
+TEST(Dfg, CycleThroughAllEdgeKindsRejected) {
+  Dfg g;
+  NodeId a = g.addInput("a");
+  NodeId m = g.addOp(OpKind::Mul, {a, a}, "m");
+  NodeId s = g.addOp(OpKind::Add, {m, a}, "s");  // operand edge m -> s
+  NodeId n = g.addOp(OpKind::Mul, {a, a}, "n");
+  g.addScheduleArc(s, n);
+  EXPECT_THROW(g.addStateEdge(n, m), Error);
+  EXPECT_TRUE(g.stateEdges().empty());
+  g.clearScheduleArcs();
+  g.addStateEdge(n, m);
+  EXPECT_THROW(g.addScheduleArc(s, n), Error);
+  EXPECT_TRUE(g.scheduleArcs().empty());
+  EXPECT_TRUE(g.isAcyclic());
+}
+
 TEST(Dfg, CombinedPredecessorsIncludeScheduleArcs) {
   Dfg g = diamond();
   NodeId m1 = g.findByName("m1");

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "dfg/benchmarks.hpp"
 #include "sim/distribution.hpp"
 #include "testutil.hpp"
@@ -78,6 +79,33 @@ TEST(Distribution, DistributedStochasticallyDominatesSync) {
     }
     EXPECT_GE(cdfDist + 1e-12, cdfSync) << "c=" << c;
   }
+}
+
+// The pmf is folded from the mask walker's chunks in chunk order, so it is
+// identical at every thread count -- on a design whose 2^12 masks span the
+// chunk grid and on diffeq, which fits a single walk.  The multi-chunk pmf
+// also keeps the exact expectation as its mean.
+TEST(Distribution, PmfIdenticalAcrossThreadCounts) {
+  const sched::ScheduledDfg wide = sched::scheduleAndBind(
+      test::parallelMuls(12), Allocation{{ResourceClass::Multiplier, 3}},
+      tau::paperLibrary());
+  ASSERT_EQ(tauOps(wide).size(), 12u);
+  for (const sched::ScheduledDfg& s : {scheduledDiffeq(), wide}) {
+    for (ControlStyle style :
+         {ControlStyle::Distributed, ControlStyle::CentSync}) {
+      for (double p : {0.7, 0.25}) {
+        common::setGlobalThreadCount(1);
+        const LatencyDistribution reference = latencyDistribution(s, style, p);
+        EXPECT_NEAR(reference.mean(), averageCyclesExact(s, style, p), 1e-9);
+        for (int threads : {2, 8}) {
+          common::setGlobalThreadCount(threads);
+          EXPECT_EQ(latencyDistribution(s, style, p).pmf, reference.pmf)
+              << s.graph.name() << " p=" << p << " threads=" << threads;
+        }
+      }
+    }
+  }
+  common::setGlobalThreadCount(common::configuredThreadCount());
 }
 
 }  // namespace

@@ -217,12 +217,17 @@ TEST(StatsDeterminism, MonteCarloBitIdenticalAcrossThreadCounts) {
   for (const ScheduledDfg& s : {scheduledDiffeq(), scheduledFir5()}) {
     for (double p : {0.9, 0.5}) {
       common::setGlobalThreadCount(1);
-      const double serial = sim::averageCyclesMonteCarlo(
-          s, sim::ControlStyle::Distributed, p, 5000, 42);
+      const sim::MakespanEngine engine(s);
+      const sim::LatencyOptions fixed{.mcSamples = 5000, .mcMaxSamples = 5000};
+      const double serial =
+          sim::averageCyclesMonteCarloAdaptive(
+              s, engine, sim::ControlStyle::Distributed, p, fixed)
+              .mean;
       for (int threads : {2, 8}) {
         common::setGlobalThreadCount(threads);
-        EXPECT_EQ(sim::averageCyclesMonteCarlo(s, sim::ControlStyle::Distributed,
-                                               p, 5000, 42),
+        EXPECT_EQ(sim::averageCyclesMonteCarloAdaptive(
+                      s, engine, sim::ControlStyle::Distributed, p, fixed)
+                      .mean,
                   serial)
             << s.graph.name() << " p=" << p << " threads=" << threads;
       }
@@ -256,8 +261,11 @@ TEST(StatsDeterminism, ParallelExactCrossValidatesMonteCarlo) {
     for (double p : {0.9, 0.5}) {
       const double exact =
           sim::averageCyclesExact(s, sim::ControlStyle::Distributed, p);
-      const double mc = sim::averageCyclesMonteCarlo(
-          s, sim::ControlStyle::Distributed, p, 20000, 42);
+      const double mc =
+          sim::averageCyclesMonteCarloAdaptive(
+              s, sim::MakespanEngine(s), sim::ControlStyle::Distributed, p,
+              {.mcSamples = 20000, .mcMaxSamples = 20000})
+              .mean;
       EXPECT_NEAR(mc, exact, 0.05) << s.graph.name() << " p=" << p;
     }
   }
@@ -268,10 +276,8 @@ TEST(StatsDeterminism, EngineOverloadsMatchRebuildPath) {
   const sim::MakespanEngine engine(s);
   for (sim::ControlStyle style :
        {sim::ControlStyle::Distributed, sim::ControlStyle::CentSync}) {
-    EXPECT_EQ(sim::averageCyclesExact(s, engine, style, 0.7),
+    EXPECT_EQ(sim::averageCyclesExact(engine, style, 0.7),
               sim::averageCyclesExact(s, style, 0.7));
-    EXPECT_EQ(sim::averageCyclesMonteCarlo(s, engine, style, 0.7, 1000, 9),
-              sim::averageCyclesMonteCarlo(s, style, 0.7, 1000, 9));
   }
 }
 

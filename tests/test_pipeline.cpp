@@ -44,8 +44,11 @@ FlowResult seedFlow(const dfg::Dfg& graph, const FlowConfig& config) {
         r.centSync = fsm::buildCentSync(r.scheduled);
         break;
       case 2:
-        r.latency =
-            sim::compareLatencies(r.scheduled, config.ps, config.mcSamples);
+        r.latency = sim::compareLatencies(
+            r.scheduled, config.ps,
+            {.mcSamples = config.mcSamples,
+             .mcMaxSamples = config.mcMaxSamples,
+             .mcTargetHalfWidth = config.mcTargetHalfWidth});
         break;
     }
   });

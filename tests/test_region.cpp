@@ -4,8 +4,10 @@
 // MDL009/MDL010), the hierarchical flow, and the CLI routing.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -157,6 +159,39 @@ TEST(RegionSim, BitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(latencies[0].dist.bestNs, latencies[0].tau.bestNs);  // all-SD case
   for (std::size_t i = 0; i < ps.size(); ++i) {
     EXPECT_LE(latencies[0].dist.averageNs[i], latencies[0].tau.averageNs[i]);
+  }
+}
+
+// The walker-built histogram equals one built mask by mask with a full
+// evaluation each: on the flat fir_iir_loop trace (2^17 masks over the
+// walker's chunk grid) and on its first leaf (a single walk).
+TEST(RegionSim, HistogramMatchesPerMaskEvaluation) {
+  RegionProgram p = dfg::firIirLoop();
+  sched::RegionSchedule rs = sched::scheduleRegions(
+      p, dfg::firIirLoopAllocation(), tau::paperLibrary());
+  BranchChoices choices = dfg::completeBranchChoices(p, {});
+  const std::vector<sched::ScheduledDfg> designs = {
+      sched::flattenScheduled(rs, choices),
+      rs.leaf(dfg::activationTrace(p, choices).front())};
+  ASSERT_GT(sim::MakespanEngine(designs[0]).numTauOps(), 8);
+  ASSERT_LE(sim::MakespanEngine(designs[1]).numTauOps(), 8);
+  for (const sched::ScheduledDfg& s : designs) {
+    const sim::MakespanEngine engine(s);
+    sim::MakespanEngine::DistributedSweep sweep(engine);
+    for (sim::ControlStyle style :
+         {sim::ControlStyle::Distributed, sim::ControlStyle::CentSync}) {
+      std::map<std::pair<int, int>, std::uint64_t> expected;
+      for (std::uint64_t mask = 0;
+           mask < (std::uint64_t{1} << engine.numTauOps()); ++mask) {
+        const int cycles = style == sim::ControlStyle::Distributed
+                               ? sweep.evalFull(mask)
+                               : engine.syncCycles(mask);
+        ++expected[{cycles, std::popcount(mask)}];
+      }
+      const sim::MakespanHistogram h = sim::makespanHistogram(s, style);
+      EXPECT_EQ(h.tauCount, engine.numTauOps());
+      EXPECT_EQ(h.buckets, expected) << s.graph.name();
+    }
   }
 }
 

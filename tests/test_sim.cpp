@@ -298,7 +298,10 @@ TEST(Stats, MonteCarloAgreesWithExact) {
   for (double p : {0.9, 0.5}) {
     const double exact = averageCyclesExact(s, ControlStyle::Distributed, p);
     const double mc =
-        averageCyclesMonteCarlo(s, ControlStyle::Distributed, p, 20000, 42);
+        averageCyclesMonteCarloAdaptive(
+            s, MakespanEngine(s), ControlStyle::Distributed, p,
+            {.mcSamples = 20000, .mcMaxSamples = 20000})
+            .mean;
     EXPECT_NEAR(mc, exact, 0.05) << "p=" << p;
   }
 }

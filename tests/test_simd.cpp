@@ -106,7 +106,7 @@ TEST(Simd, SweepBitIdenticalToScalarReferenceOnRandomDags) {
       for (const int threads : {1, 2, 8}) {
         common::setGlobalThreadCount(threads);
         EXPECT_EQ(sim::averageCyclesExact(
-                      s, engine, sim::ControlStyle::Distributed, p),
+                      engine, sim::ControlStyle::Distributed, p),
                   reference)
             << "seed=" << seed << " p=" << p << " threads=" << threads;
       }

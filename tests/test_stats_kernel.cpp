@@ -67,7 +67,7 @@ TEST(StatsKernel, ClosedFormSyncMatchesEnumeration) {
     const sim::MakespanEngine engine(s);
     for (double p : {0.0, 0.25, 0.5, 0.9, 1.0}) {
       const double closed =
-          sim::averageCyclesExact(s, engine, sim::ControlStyle::CentSync, p);
+          sim::averageCyclesExact(engine, sim::ControlStyle::CentSync, p);
       const double enumerated = sim::averageCyclesExactReference(
           s, engine, sim::ControlStyle::CentSync, p);
       EXPECT_NEAR(closed, enumerated, 1e-9)
@@ -86,7 +86,7 @@ TEST(StatsKernel, GrayCodeSweepBitIdenticalToReference) {
       for (int threads : {1, 2, 8}) {
         common::setGlobalThreadCount(threads);
         EXPECT_EQ(
-            sim::averageCyclesExact(s, engine, sim::ControlStyle::Distributed,
+            sim::averageCyclesExact(engine, sim::ControlStyle::Distributed,
                                     p),
             sim::averageCyclesExactReference(
                 s, engine, sim::ControlStyle::Distributed, p))
@@ -120,20 +120,19 @@ TEST(StatsKernel, SweepMatchesPerPointCallsBitForBit) {
       for (int threads : {1, 2, 8}) {
         common::setGlobalThreadCount(threads);
         const std::vector<double> swept =
-            sim::averageCyclesExactSweep(s, engine, style, ps);
+            sim::averageCyclesExactSweep(engine, style, ps);
         ASSERT_EQ(swept.size(), ps.size());
         for (std::size_t i = 0; i < ps.size(); ++i) {
           EXPECT_EQ(swept[i],
-                    sim::averageCyclesExact(s, engine, style, ps[i]))
+                    sim::averageCyclesExact(engine, style, ps[i]))
               << s.graph.name() << " p=" << ps[i] << " threads=" << threads;
         }
       }
     }
   }
   common::setGlobalThreadCount(8);
-  EXPECT_EQ(sim::averageCyclesExactSweep(designs.back(), layered,
-                                         sim::ControlStyle::Distributed,
-                                         ps)[2],
+  EXPECT_EQ(sim::averageCyclesExactSweep(
+                layered, sim::ControlStyle::Distributed, ps)[2],
             sim::averageCyclesExactReference(
                 designs.back(), layered, sim::ControlStyle::Distributed,
                 ps[2]));
@@ -185,20 +184,22 @@ TEST(StatsKernel, ExactEnumerationHandles22TauOps) {
   const int best = sim::bestCaseCycles(engine, sim::ControlStyle::Distributed);
   const int worst =
       sim::worstCaseCycles(engine, sim::ControlStyle::Distributed);
-  EXPECT_EQ(sim::averageCyclesExact(s, engine, sim::ControlStyle::Distributed,
+  EXPECT_EQ(sim::averageCyclesExact(engine, sim::ControlStyle::Distributed,
                                     1.0),
             best);
-  EXPECT_EQ(sim::averageCyclesExact(s, engine, sim::ControlStyle::Distributed,
+  EXPECT_EQ(sim::averageCyclesExact(engine, sim::ControlStyle::Distributed,
                                     0.0),
             worst);
 
   const double avg =
-      sim::averageCyclesExact(s, engine, sim::ControlStyle::Distributed, 0.7);
+      sim::averageCyclesExact(engine, sim::ControlStyle::Distributed, 0.7);
   EXPECT_GE(avg, best);
   EXPECT_LE(avg, worst);
-  const double mc = sim::averageCyclesMonteCarlo(
-      s, engine, sim::ControlStyle::Distributed, 0.7, 20000, 42);
-  EXPECT_NEAR(mc, avg, 0.05);
+  const sim::McEstimate mc = sim::averageCyclesMonteCarloAdaptive(
+      s, engine, sim::ControlStyle::Distributed, 0.7,
+      {.mcSamples = 20000, .mcMaxSamples = 20000});
+  EXPECT_EQ(mc.samples, 20000u);
+  EXPECT_NEAR(mc.mean, avg, 0.05);
 }
 
 // Beyond the 24-op cap the Distributed enumeration refuses, while the
@@ -208,18 +209,18 @@ TEST(StatsKernel, SyncColumnHasNoCap) {
   const sim::MakespanEngine engine(s);
   ASSERT_GT(engine.numTauOps(), sim::kMaxExactTauOps);
   EXPECT_THROW(
-      sim::averageCyclesExact(s, engine, sim::ControlStyle::Distributed, 0.5),
+      sim::averageCyclesExact(engine, sim::ControlStyle::Distributed, 0.5),
       Error);
 
   const double avg =
-      sim::averageCyclesExact(s, engine, sim::ControlStyle::CentSync, 0.5);
+      sim::averageCyclesExact(engine, sim::ControlStyle::CentSync, 0.5);
   EXPECT_GE(avg, sim::bestCaseCycles(engine, sim::ControlStyle::CentSync));
   EXPECT_LE(avg, sim::worstCaseCycles(engine, sim::ControlStyle::CentSync));
   EXPECT_EQ(
-      sim::averageCyclesExact(s, engine, sim::ControlStyle::CentSync, 1.0),
+      sim::averageCyclesExact(engine, sim::ControlStyle::CentSync, 1.0),
       sim::bestCaseCycles(engine, sim::ControlStyle::CentSync));
   EXPECT_EQ(
-      sim::averageCyclesExact(s, engine, sim::ControlStyle::CentSync, 0.0),
+      sim::averageCyclesExact(engine, sim::ControlStyle::CentSync, 0.0),
       sim::worstCaseCycles(engine, sim::ControlStyle::CentSync));
 }
 
@@ -244,40 +245,45 @@ TEST(StatsKernel, RandomSamplersAgreeBitForBit) {
 
 // --- adaptive exact<->MC crossover ----------------------------------------
 
-// With default options and a graph under the exact cap, the adaptive
-// overload of compareLatencies is bit-identical to the legacy one.
+// Under the exact cap compareLatencies reports the exact sweeps, bit for
+// bit, scaled to ns, and spends no Monte-Carlo sample.
 TEST(StatsKernel, AdaptiveCompareLatenciesBitIdenticalUnderCap) {
   const std::vector<double> ps = {0.9, 0.7, 0.5};
   for (const ScheduledDfg& s : paperBenchmarks()) {
-    const sim::LatencyComparison legacy = sim::compareLatencies(s, ps);
+    const sim::MakespanEngine engine(s);
+    const std::vector<double> tau =
+        sim::averageCyclesExactSweep(engine, sim::ControlStyle::CentSync, ps);
+    const std::vector<double> dist = sim::averageCyclesExactSweep(
+        engine, sim::ControlStyle::Distributed, ps);
     std::vector<sim::McEstimate> info;
-    const sim::LatencyComparison adaptive =
+    const sim::LatencyComparison cmp =
         sim::compareLatencies(s, ps, sim::LatencyOptions{}, &info);
     ASSERT_EQ(info.size(), ps.size());
     for (std::size_t i = 0; i < ps.size(); ++i) {
-      EXPECT_EQ(adaptive.tau.averageNs[i], legacy.tau.averageNs[i]);
-      EXPECT_EQ(adaptive.dist.averageNs[i], legacy.dist.averageNs[i]);
-      EXPECT_EQ(adaptive.enhancementPercent[i], legacy.enhancementPercent[i]);
+      EXPECT_EQ(cmp.tau.averageNs[i], tau[i] * s.clockNs);
+      EXPECT_EQ(cmp.dist.averageNs[i], dist[i] * s.clockNs);
+      EXPECT_EQ(cmp.enhancementPercent[i],
+                (tau[i] * s.clockNs - dist[i] * s.clockNs) /
+                    (tau[i] * s.clockNs) * 100.0);
       EXPECT_EQ(info[i].samples, 0u);  // the exact path ran, no MC spent
     }
-    EXPECT_EQ(adaptive.dist.bestNs, legacy.dist.bestNs);
-    EXPECT_EQ(adaptive.dist.worstNs, legacy.dist.worstNs);
+    EXPECT_EQ(cmp.dist.bestNs, engine.bestDistributedCycles() * s.clockNs);
+    EXPECT_EQ(cmp.dist.worstNs, engine.worstDistributedCycles() * s.clockNs);
   }
 }
 
-// A lowered exact cap forces the Monte-Carlo path on a graph whose exact
-// value is still computable: the reported 95% confidence interval must
-// cover the exact expectation, and the half-width must have reached the
-// requested target (or exhausted the sample ceiling trying).
+// The Monte-Carlo estimator on a graph whose exact value is still
+// computable: the reported 95% confidence interval must cover the exact
+// expectation, and the half-width must have reached the requested target
+// (or exhausted the sample ceiling trying).
 TEST(StatsKernel, McCrossoverIntervalCoversExactValue) {
   const ScheduledDfg s = manyTauSchedule(14);
   const sim::MakespanEngine engine(s);
   ASSERT_LE(engine.numTauOps(), sim::kMaxExactTauOps);
   for (const double p : {0.5, 0.8}) {
     const double exact =
-        sim::averageCyclesExact(s, engine, sim::ControlStyle::Distributed, p);
+        sim::averageCyclesExact(engine, sim::ControlStyle::Distributed, p);
     sim::LatencyOptions options;
-    options.exactCap = 10;  // below the 14 TAU ops: forces MC
     options.mcSamples = 4000;
     options.mcTargetHalfWidth = 0.02;
     const sim::McEstimate est = sim::averageCyclesMonteCarloAdaptive(
@@ -299,7 +305,6 @@ TEST(StatsKernel, AdaptiveMcDeterministicAcrossThreads) {
   const ScheduledDfg s = manyTauSchedule(14);
   const sim::MakespanEngine engine(s);
   sim::LatencyOptions options;
-  options.exactCap = 10;
   options.mcSamples = 2000;
   options.mcTargetHalfWidth = 0.05;
   common::setGlobalThreadCount(1);
@@ -315,9 +320,8 @@ TEST(StatsKernel, AdaptiveMcDeterministicAcrossThreads) {
   }
 }
 
-// Past the hard 24-op enumeration cap the adaptive crossover no longer
-// throws (the legacy fixed-sample path is the only alternative there): the
-// column comes back seeded-MC with finite CI info.
+// Past the 24-op enumeration cap compareLatencies does not throw: the
+// Distributed column comes back seeded-MC with finite CI info.
 TEST(StatsKernel, AdaptiveCrossoverHandlesGraphsPastTheHardCap) {
   const ScheduledDfg s = manyTauSchedule(25);
   const sim::MakespanEngine engine(s);
