@@ -9,11 +9,11 @@
 //                 QM merge scans and per-offset-row expand trials) + Naive
 //                 proof engine (fresh SAT solver + Tseitin encoding per
 //                 miter) -- against the optimized regime: the synth pass's
-//                 synth::synthesizeControllers (compiled-guard sweep, fast
-//                 minimizer: sort+hash QM, 64-rows/word bit-parallel
-//                 expand, identical tables minimized once) + Incremental
-//                 engine (simulation prefilter + shared incremental
-//                 solver).  Two-level minimization dominates this suite's
+//                 synth::synthesizeControllers (cube specs from the
+//                 compiled guards, fast minimizer: sort+hash QM, cube
+//                 expand, identical specs minimized once, on the pool) +
+//                 Incremental engine (simulation prefilter + shared
+//                 incremental solver).  Two-level minimization dominates this suite's
 //                 wall clock; the fast minimizer makes the same decisions
 //                 in the same order, so covers, netlists, RTL, and every
 //                 EQV verdict are identical across regimes (self-checked

@@ -28,6 +28,12 @@ Cube Cube::minterm(int numVars, std::uint64_t assignment) {
   return Cube(numVars, mask, assignment);
 }
 
+Cube Cube::fromMasks(int numVars, std::uint64_t care, std::uint64_t value) {
+  TAUHLS_CHECK(numVars >= 0 && numVars <= 64, "cube supports 0..64 variables");
+  TAUHLS_CHECK((care & ~varsMask(numVars)) == 0, "cube uses unknown variables");
+  return Cube(numVars, care, value);
+}
+
 void Cube::setLiteral(int var, bool positive) {
   TAUHLS_CHECK(var >= 0 && var < numVars_, "literal index out of range");
   const std::uint64_t bit = std::uint64_t{1} << var;

@@ -20,6 +20,10 @@ class Cube {
   /// The minterm cube matching exactly `assignment` (all variables care).
   static Cube minterm(int numVars, std::uint64_t assignment);
 
+  /// The cube whose literals are the `care` variables, positive where
+  /// `value` is 1 (value bits outside `care` are ignored).
+  static Cube fromMasks(int numVars, std::uint64_t care, std::uint64_t value);
+
   int numVars() const { return numVars_; }
   std::uint64_t careMask() const { return care_; }
   std::uint64_t valueMask() const { return value_; }

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <map>
-#include <numeric>
+#include <optional>
 #include <set>
 #include <unordered_set>
 #include <utility>
@@ -37,15 +37,27 @@ std::vector<Cube> primeImplicants(const TruthTable& tt) {
   // Scratch reused across levels.
   //  * upperPos/upperEpoch: direct-index (valueMask -> sorted position) map
   //    for the current upper bucket; epoch stamps avoid clearing.
-  //  * dedup: one bit per (care, value) pair.  A level-k cube has exactly
-  //    vars-k care bits, so keys never repeat across levels and the bitmap
-  //    is never cleared; with vars <= 14 it is at most 2^28 bits (32 MiB),
-  //    and at the <= 14-variable sizes minimizeExact admits it replaces one
-  //    hash insert per generated cube with a test-and-set.
+  //  * dedup: one bit per cube, indexed by its base-3 digit number (digit v
+  //    is 0 for no literal, 1 for a negative and 2 for a positive literal of
+  //    variable v): 3^vars bits, 0.6 MiB at 14 variables.  A level-k cube
+  //    has exactly vars-k literals, so keys never repeat across levels and
+  //    the bitmap is never cleared; it replaces one hash insert per
+  //    generated cube with a test-and-set.  keys[i] is current[i]'s number;
+  //    merging drops a negative literal, so a merged key is keys[i] - 3^v.
   std::vector<std::uint32_t> upperPos(space, 0);
   std::vector<std::uint32_t> upperEpoch(space, 0);
   std::uint32_t epoch = 0;
-  std::vector<std::uint64_t> dedup((space * space + 63) / 64, 0);
+  std::vector<std::uint32_t> pow3(static_cast<std::size_t>(vars) + 1, 1);
+  for (int v = 0; v < vars; ++v) pow3[v + 1] = pow3[v] * 3;
+  std::vector<std::uint64_t> dedup((pow3[vars] + 63) / 64, 0);
+  std::vector<std::uint32_t> keys;
+  for (const Cube& m : current) {
+    std::uint32_t key = 0;
+    for (int v = 0; v < vars; ++v) {
+      key += pow3[v] * (1 + ((m.valueMask() >> v) & 1));
+    }
+    keys.push_back(key);
+  }
 
   std::vector<Cube> primes;
   while (!current.empty()) {
@@ -72,6 +84,7 @@ std::vector<Cube> primeImplicants(const TruthTable& tt) {
 
     std::vector<bool> merged(n, false);
     std::vector<Cube> next;
+    std::vector<std::uint32_t> nextKeys;
     for (std::size_t g = 0; g + 2 < groupStart.size() + 1; ++g) {
       const std::size_t lo = groupStart[g];
       const std::size_t hi = groupStart[g + 1];
@@ -110,14 +123,14 @@ std::vector<Cube> primeImplicants(const TruthTable& tt) {
         std::sort(partners.begin(), partners.end());
         for (const auto& [pos, v] : partners) {
           merged[i] = merged[order[pos].second] = true;
-          Cube m = current[i];
-          m.dropLiteral(v);
-          const std::size_t key =
-              (static_cast<std::size_t>(m.careMask()) << vars) | m.valueMask();
+          const std::uint32_t key = keys[i] - pow3[v];
           const std::uint64_t bit = std::uint64_t{1} << (key & 63);
           if (!(dedup[key >> 6] & bit)) {
             dedup[key >> 6] |= bit;
+            Cube m = current[i];
+            m.dropLiteral(v);
             next.push_back(m);
+            nextKeys.push_back(key);
           }
         }
       }
@@ -126,6 +139,7 @@ std::vector<Cube> primeImplicants(const TruthTable& tt) {
       if (!merged[i]) primes.push_back(current[i]);
     }
     current = std::move(next);
+    keys = std::move(nextKeys);
   }
   return primes;
 }
@@ -253,91 +267,123 @@ Cover minimizeExact(const TruthTable& tt) {
 
 namespace {
 
-// --- bit-parallel expand -----------------------------------------------------
+// --- cube expand -------------------------------------------------------------
 //
-// Row sets are bitsets over the 2^numVars truth-table rows, 64 rows per word.
-// Flipping variable v in every row index is a word-level butterfly (bit
-// strides below 64) or a word swap at distance 2^(v-6), so "the rows of this
-// cube with literal v dropped" and "does that set touch the offset" are both
-// O(rows/64) word operations instead of per-row Cube::covers calls.
+// The expand works on the spec's cubes: its onset and offset are unions of
+// cubes, and nothing ever enumerates the 2^numVars rows.
 
-/// kStrideMask[v]: bits whose row index has bit v clear, for v < 6.
-constexpr std::uint64_t kStrideMask[6] = {
-    0x5555555555555555ull, 0x3333333333333333ull, 0x0F0F0F0F0F0F0F0Full,
-    0x00FF00FF00FF00FFull, 0x0000FFFF0000FFFFull, 0x00000000FFFFFFFFull};
-
-/// dst = src with row-index bit v flipped in every element.
-void flipVar(const std::vector<std::uint64_t>& src, int v,
-             std::vector<std::uint64_t>& dst) {
-  const std::size_t n = src.size();
-  if (v < 6) {
-    const int s = 1 << v;
-    const std::uint64_t m = kStrideMask[v];
-    for (std::size_t i = 0; i < n; ++i) {
-      dst[i] = ((src[i] & m) << s) | ((src[i] >> s) & m);
+/// The lowest minterm of region `r` that lies in an `on` cube and in no
+/// `cover` cube, or none.  Splits the most-significant variable first: a
+/// free variable no remaining cube has a literal on is 0 in the lowest
+/// minterm (the set is symmetric in it), so the split takes the highest
+/// variable some cube does constrain, and searches its 0 half first.
+std::optional<std::uint64_t> lowestUncovered(const Cube& r,
+                                             const std::vector<Cube>& on,
+                                             const std::vector<Cube>& cover) {
+  std::vector<Cube> coverIn;
+  std::uint64_t constrained = 0;
+  for (const Cube& c : cover) {
+    if (!c.intersects(r)) continue;
+    if (c.contains(r)) return std::nullopt;
+    coverIn.push_back(c);
+    constrained |= c.careMask();
+  }
+  std::vector<Cube> onIn;
+  for (const Cube& o : on) {
+    if (!o.intersects(r)) continue;
+    const Cube part = Cube::fromMasks(r.numVars(), o.careMask() | r.careMask(),
+                                      o.valueMask() | r.valueMask());
+    if (std::any_of(coverIn.begin(), coverIn.end(),
+                    [&](const Cube& c) { return c.contains(part); })) {
+      continue;
     }
-  } else {
-    const std::size_t d = std::size_t{1} << (v - 6);
-    for (std::size_t i = 0; i < n; ++i) dst[i] = src[i ^ d];
+    onIn.push_back(o);
+    constrained |= o.careMask();
   }
-}
-
-bool anyIntersect(const std::vector<std::uint64_t>& a,
-                  const std::vector<std::uint64_t>& b) {
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] & b[i]) return true;
+  if (onIn.empty()) return std::nullopt;
+  if (coverIn.empty()) {
+    // Each o ∩ r is uncovered; its lowest minterm clears every free variable.
+    std::uint64_t lowest = ~std::uint64_t{0};
+    for (const Cube& o : onIn) {
+      lowest = std::min(lowest, o.valueMask() | r.valueMask());
+    }
+    return lowest;
   }
-  return false;
+  // A cover cube that meets r without holding it constrains a free variable
+  // of r, so there is one to split on.
+  constrained &= ~r.careMask();
+  TAUHLS_ASSERT(constrained != 0, "cube search found no variable to split");
+  const int v = 63 - std::countl_zero(constrained);
+  Cube half = r;
+  half.setLiteral(v, false);
+  if (auto m = lowestUncovered(half, onIn, coverIn)) return m;
+  half.setLiteral(v, true);
+  return lowestUncovered(half, onIn, coverIn);
 }
 
 }  // namespace
 
-Cover minimizeExpand(const TruthTable& tt) {
-  const int vars = tt.numVars();
-  const std::uint64_t rows = tt.numRows();
-  const std::size_t words = static_cast<std::size_t>((rows + 63) / 64);
+TruthTable CubeSpec::table() const {
+  TruthTable tt(numVars, Ternary::DontCare);
+  const auto paint = [&](const std::vector<Cube>& cubes, Ternary t) {
+    for (const Cube& c : cubes) {
+      // Every subset of the free variables, from the empty one up.
+      const std::uint64_t free = (tt.numRows() - 1) & ~c.careMask();
+      std::uint64_t sub = 0;
+      do {
+        tt.set(c.valueMask() | sub, t);
+        sub = (sub - free) & free;
+      } while (sub != 0);
+    }
+  };
+  paint(on, Ternary::One);
+  paint(off, Ternary::Zero);
+  return tt;
+}
 
-  std::vector<std::uint64_t> offsetMask(words, 0);
-  std::vector<std::uint64_t> onsetRows;
-  for (std::uint64_t r = 0; r < rows; ++r) {
-    const Ternary t = tt.get(r);
-    if (t == Ternary::Zero) {
-      offsetMask[r >> 6] |= std::uint64_t{1} << (r & 63);
-    } else if (t == Ternary::One) {
-      onsetRows.push_back(r);
+std::size_t CubeSpec::Hash::operator()(const CubeSpec& spec) const {
+  std::size_t h = static_cast<std::size_t>(spec.numVars);
+  const auto mix = [&h](std::uint64_t x) {
+    h ^= x + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
+  };
+  for (const auto* list : {&spec.on, &spec.off}) {
+    mix(list->size());
+    for (const Cube& c : *list) {
+      mix(c.careMask());
+      mix(c.valueMask());
     }
   }
+  return h;
+}
 
-  // flippedOffset[v]: rows whose v-flipped partner is in the offset.  A cube
-  // currently off the offset gains an offset row by dropping literal v
-  // exactly when its minterm set intersects this -- the same boolean the
-  // reference implementation computes by scanning the offset per trial, so
-  // the expansion decisions (and the resulting cover) are identical.
-  std::vector<std::vector<std::uint64_t>> flippedOffset(
-      static_cast<std::size_t>(vars), std::vector<std::uint64_t>(words));
-  for (int v = 0; v < vars; ++v) flipVar(offsetMask, v, flippedOffset[v]);
-
+Cover minimizeExpand(const CubeSpec& spec) {
+  const int vars = spec.numVars;
+  std::vector<Cube> on = spec.on;
   Cover result(vars);
-  std::vector<std::uint64_t> covered(words, 0);
-  std::vector<std::uint64_t> cur(words);
-  std::vector<std::uint64_t> flipped(words);
-  for (const std::uint64_t row : onsetRows) {
-    if ((covered[row >> 6] >> (row & 63)) & 1) continue;
-    Cube cube = Cube::minterm(vars, row);
-    std::fill(cur.begin(), cur.end(), 0);
-    cur[row >> 6] = std::uint64_t{1} << (row & 63);
+  // conflict[i]: the literals of the cube being expanded that contradict
+  // spec.off[i].  The cube meets off[i] exactly when that set is empty, so
+  // dropping literal v reaches the offset exactly when some set is {v}.
+  std::vector<std::uint64_t> conflict(spec.off.size());
+  const Cube all = Cube::full(vars);
+  while (const auto row = lowestUncovered(all, on, result.cubes())) {
+    Cube cube = Cube::minterm(vars, *row);
+    for (std::size_t i = 0; i < spec.off.size(); ++i) {
+      conflict[i] = (spec.off[i].valueMask() ^ *row) & spec.off[i].careMask();
+    }
     // Expand: drop literals one by one while staying off the offset.
     for (int v = 0; v < vars; ++v) {
-      if (anyIntersect(cur, flippedOffset[v])) continue;
+      const std::uint64_t bit = std::uint64_t{1} << v;
+      if (std::find(conflict.begin(), conflict.end(), bit) != conflict.end()) {
+        continue;
+      }
       cube.dropLiteral(v);
-      flipVar(cur, v, flipped);
-      for (std::size_t i = 0; i < words; ++i) cur[i] |= flipped[i];
+      for (std::uint64_t& c : conflict) c &= ~bit;
     }
     result.add(cube);
-    for (std::size_t i = 0; i < words; ++i) covered[i] |= cur[i];
+    std::erase_if(on, [&](const Cube& o) { return cube.contains(o); });
   }
   result.removeContained();
-  TAUHLS_ASSERT(implements(result, tt),
+  TAUHLS_ASSERT(implements(result, spec),
                 "expand produced a non-implementing cover");
   return result;
 }
@@ -385,8 +431,12 @@ bool useExact(const TruthTable& tt) {
 
 }  // namespace
 
-Cover minimize(const TruthTable& tt) {
-  return useExact(tt) ? minimizeExact(tt) : minimizeExpand(tt);
+Cover minimize(const CubeSpec& spec) {
+  if (spec.numVars <= 14) {
+    const TruthTable tt = spec.table();
+    if (useExact(tt)) return minimizeExact(tt);
+  }
+  return minimizeExpand(spec);
 }
 
 Cover minimizeReference(const TruthTable& tt) {
@@ -405,6 +455,17 @@ bool implements(const Cover& cover, const TruthTable& spec) {
     if (cover.evaluate(r) != (want == Ternary::One)) return false;
   }
   return true;
+}
+
+bool implements(const Cover& cover, const CubeSpec& spec) {
+  TAUHLS_CHECK(cover.numVars() == spec.numVars,
+               "cover/spec variable count mismatch");
+  for (const Cube& off : spec.off) {
+    for (const Cube& c : cover.cubes()) {
+      if (c.intersects(off)) return false;
+    }
+  }
+  return !lowestUncovered(Cube::full(spec.numVars), spec.on, cover.cubes());
 }
 
 }  // namespace tauhls::logic

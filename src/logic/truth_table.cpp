@@ -1,16 +1,13 @@
 #include "logic/truth_table.hpp"
 
-#include <functional>
-#include <string_view>
-
 #include "common/error.hpp"
 
 namespace tauhls::logic {
 
-TruthTable::TruthTable(int numVars) : numVars_(numVars) {
+TruthTable::TruthTable(int numVars, Ternary fill) : numVars_(numVars) {
   TAUHLS_CHECK(numVars >= 0 && numVars <= 24,
                "truth table supports 0..24 variables");
-  rows_.assign(std::size_t{1} << numVars, static_cast<std::uint8_t>(Ternary::Zero));
+  rows_.assign(std::size_t{1} << numVars, static_cast<std::uint8_t>(fill));
 }
 
 Ternary TruthTable::get(std::uint64_t row) const {
@@ -57,11 +54,6 @@ bool TruthTable::constantOverCareSet(bool& valueOut) const {
   }
   valueOut = sawOne;  // all-DC counts as constant 0
   return true;
-}
-
-std::size_t TruthTable::hash() const {
-  return std::hash<std::string_view>{}(std::string_view(
-      reinterpret_cast<const char*>(rows_.data()), rows_.size()));
 }
 
 }  // namespace tauhls::logic

@@ -13,8 +13,8 @@ enum class Ternary : std::uint8_t { Zero = 0, One = 1, DontCare = 2 };
 
 class TruthTable {
  public:
-  /// All-zero table (offset everywhere).
-  explicit TruthTable(int numVars);
+  /// Every row `fill` (default: offset everywhere).
+  explicit TruthTable(int numVars, Ternary fill = Ternary::Zero);
 
   int numVars() const { return numVars_; }
   std::uint64_t numRows() const { return std::uint64_t{1} << numVars_; }
@@ -28,13 +28,6 @@ class TruthTable {
 
   /// True when the function is constant 0/1 over the care set.
   bool constantOverCareSet(bool& valueOut) const;
-
-  /// Row-content hash, for deduplicating identical tables
-  /// (std::unordered_map<TruthTable, ..., TruthTable::Hash>).
-  std::size_t hash() const;
-  struct Hash {
-    std::size_t operator()(const TruthTable& tt) const { return tt.hash(); }
-  };
 
   friend bool operator==(const TruthTable&, const TruthTable&) = default;
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "logic/minimize.hpp"
 #include "logic/truth_table.hpp"
 
@@ -51,185 +52,183 @@ const std::vector<SynthesizedFsm>& SynthesizedControllers::under(
 
 namespace {
 
-/// One FSM's logic before minimization.
-struct Extraction {
-  SynthesizedFsm shape;                   ///< every field but the covers
-  std::vector<logic::TruthTable> tables;  ///< next-state bits, then outputs
-};
-
-/// The truth tables of `fsm` under `style`, one 2^numVars row sweep shared
-/// by both regimes.  Rows whose state bits decode to no reachable state are
-/// don't-cares; on every other row `step(state, inputBits, outputOn)`
-/// returns the next state and sets one flag per declared output.
-template <typename Step>
-Extraction extract(const fsm::Fsm& fsm, EncodingStyle style, Step&& step) {
+/// The encoding of `fsm` under `style`, checked in the order every synthesis
+/// starts with: validateFsm, then the encoding, then the 22-variable wall.
+Encoding checkedEncoding(const fsm::Fsm& fsm, EncodingStyle style) {
   fsm::validateFsm(fsm);
-  const Encoding enc = encodeStates(fsm, style);
-  const int numInputs = static_cast<int>(fsm.inputs().size());
-  const int numVars = enc.bits + numInputs;
+  Encoding enc = encodeStates(fsm, style);
+  const int numVars = enc.bits + static_cast<int>(fsm.inputs().size());
   TAUHLS_CHECK(numVars <= 22,
                "FSM too large for explicit logic extraction: " + fsm.name());
-  const std::size_t numOutputs = fsm.outputs().size();
-  Extraction x;
-  x.shape.name = fsm.name();
-  x.shape.numInputs = numInputs;
-  x.shape.numOutputs = static_cast<int>(numOutputs);
-  x.shape.numStates = static_cast<int>(fsm.numStates());
-  x.shape.flipFlops = enc.bits;
-  x.tables.assign(enc.bits + numOutputs, logic::TruthTable(numVars));
-
-  const std::vector<bool> reachable = reachableStates(fsm);
-  std::vector<char> outputOn(numOutputs, 0);
-  const std::uint64_t rows = std::uint64_t{1} << numVars;
-  for (std::uint64_t row = 0; row < rows; ++row) {
-    const std::uint32_t code =
-        static_cast<std::uint32_t>(row & ((std::uint64_t{1} << enc.bits) - 1));
-    const int state = enc.stateOf(code);
-    if (state < 0 || !reachable[state]) {
-      for (auto& tt : x.tables) tt.set(row, logic::Ternary::DontCare);
-      continue;
-    }
-    const int next = step(state, row >> enc.bits, outputOn);
-    const std::uint32_t nextCode = enc.codeOf[static_cast<std::size_t>(next)];
-    for (int b = 0; b < enc.bits; ++b) {
-      x.tables[b].set(row, ((nextCode >> b) & 1) ? logic::Ternary::One
-                                                 : logic::Ternary::Zero);
-    }
-    for (std::size_t o = 0; o < numOutputs; ++o) {
-      x.tables[enc.bits + o].set(row, outputOn[o] ? logic::Ternary::One
-                                                  : logic::Ternary::Zero);
-    }
-  }
-  return x;
+  return enc;
 }
 
-/// The fast step: every guard compiled to (care, value) bitmask terms over
-/// the input variables and every output list to per-index flags, so a row
-/// is integer compares instead of per-row string-set construction and
-/// Fsm::step guard evaluation.  validateFsm has already proven exactly one
-/// transition fires per assignment, so first-match is the unique match and
-/// the rows are identical to stepping the machine.
-Extraction extractCompiled(const fsm::Fsm& fsm, EncodingStyle style) {
+/// Every field of `fsm`'s synthesis but the covers.
+SynthesizedFsm shapeOf(const fsm::Fsm& fsm, const Encoding& enc) {
+  SynthesizedFsm shape;
+  shape.name = fsm.name();
+  shape.numInputs = static_cast<int>(fsm.inputs().size());
+  shape.numOutputs = static_cast<int>(fsm.outputs().size());
+  shape.numStates = static_cast<int>(fsm.numStates());
+  shape.flipFlops = enc.bits;
+  return shape;
+}
+
+/// Function i of a synthesis is next-state bit i, then output i - flipFlops.
+void addCover(SynthesizedFsm& syn, std::size_t i, logic::Cover cover) {
+  (static_cast<int>(i) < syn.flipFlops ? syn.nextStateLogic : syn.outputLogic)
+      .push_back(std::move(cover));
+}
+
+/// One FSM's logic before minimization.
+struct Extraction {
+  SynthesizedFsm shape;                    ///< every field but the covers
+  std::vector<logic::CubeSpec> functions;  ///< next-state bits, then outputs
+};
+
+/// The cube specification of every function of `fsm` under `style`.  Each
+/// reachable state's code crossed with each guard term of each of its
+/// transitions is one cube (state bits equal to the code, input bits to the
+/// term), in the onset or the offset of each next-state bit and output by
+/// the transition's target code and output list.  Codes of no reachable
+/// state lie in neither list: they are the don't-cares.  validateFsm has
+/// proven exactly one transition fires per assignment, so the two lists of
+/// a function never share a minterm.
+Extraction extract(const fsm::Fsm& fsm, EncodingStyle style) {
+  const Encoding enc = checkedEncoding(fsm, style);
   std::unordered_map<std::string, int> inputIndex;
   for (std::size_t i = 0; i < fsm.inputs().size(); ++i) {
-    inputIndex.emplace(fsm.inputs()[i], static_cast<int>(i));
+    inputIndex.emplace(fsm.inputs()[i], enc.bits + static_cast<int>(i));
   }
   std::unordered_map<std::string, std::size_t> outputIndex;
   for (std::size_t o = 0; o < fsm.outputs().size(); ++o) {
     outputIndex.emplace(fsm.outputs()[o], o);
   }
-  struct CompiledTransition {
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> terms;  // care, value
-    int to = 0;
-    std::vector<char> outputOn;
-  };
-  std::vector<std::vector<CompiledTransition>> compiled(fsm.numStates());
-  for (std::size_t s = 0; s < compiled.size(); ++s) {
+  Extraction x{shapeOf(fsm, enc), {}};
+  const int numVars = enc.bits + x.shape.numInputs;
+  x.functions.assign(enc.bits + fsm.outputs().size(),
+                     logic::CubeSpec{numVars, {}, {}});
+
+  const std::uint64_t stateCare = (std::uint64_t{1} << enc.bits) - 1;
+  const std::vector<bool> reachable = reachableStates(fsm);
+  std::vector<char> outputOn(fsm.outputs().size());
+  for (std::size_t s = 0; s < fsm.numStates(); ++s) {
+    if (!reachable[s]) continue;
     for (const fsm::Transition* t : fsm.transitionsFrom(static_cast<int>(s))) {
-      CompiledTransition ct;
+      const std::uint32_t nextCode =
+          enc.codeOf[static_cast<std::size_t>(t->to)];
+      std::fill(outputOn.begin(), outputOn.end(), 0);
+      for (const std::string& sig : t->outputs) {
+        outputOn[outputIndex.at(sig)] = 1;
+      }
       for (const fsm::GuardTerm& term : t->guard.terms()) {
-        std::uint64_t care = 0;
-        std::uint64_t value = 0;
+        std::uint64_t care = stateCare;
+        std::uint64_t value = enc.codeOf[s];
         for (const auto& [sig, positive] : term.literals) {
           const std::uint64_t bit = std::uint64_t{1} << inputIndex.at(sig);
           care |= bit;
           if (positive) value |= bit;
         }
-        ct.terms.emplace_back(care, value);
-      }
-      ct.to = t->to;
-      ct.outputOn.assign(fsm.outputs().size(), 0);
-      for (const std::string& sig : t->outputs) {
-        ct.outputOn[outputIndex.at(sig)] = 1;
-      }
-      compiled[s].push_back(std::move(ct));
-    }
-  }
-  return extract(fsm, style, [&](int state, std::uint64_t inputBits,
-                                 std::vector<char>& outputOn) {
-    for (const CompiledTransition& ct :
-         compiled[static_cast<std::size_t>(state)]) {
-      for (const auto& [care, value] : ct.terms) {
-        if ((inputBits & care) == value) {
-          outputOn = ct.outputOn;
-          return ct.to;
+        const logic::Cube cube = logic::Cube::fromMasks(numVars, care, value);
+        for (std::size_t f = 0; f < x.functions.size(); ++f) {
+          const bool one = static_cast<int>(f) < enc.bits
+                               ? ((nextCode >> f) & 1) != 0
+                               : outputOn[f - enc.bits] != 0;
+          (one ? x.functions[f].on : x.functions[f].off).push_back(cube);
         }
       }
     }
-    TAUHLS_FAIL("no transition fires from state " + fsm.stateName(state) +
-                " in " + fsm.name());
-  });
+  }
+  return x;
 }
 
-/// The reference step: Fsm::step on every care row.
-Extraction extractStepped(const fsm::Fsm& fsm, EncodingStyle style) {
-  return extract(fsm, style, [&fsm](int state, std::uint64_t inputBits,
-                                    std::vector<char>& outputOn) {
-    std::unordered_set<std::string> asserted;
-    for (std::size_t i = 0; i < fsm.inputs().size(); ++i) {
-      if ((inputBits >> i) & 1) asserted.insert(fsm.inputs()[i]);
+/// Minimize every function of `units` and assemble their syntheses in
+/// order.  Identical specs -- functions repeated within a machine, and
+/// across controllers bound to identical unit shapes -- are minimized once.
+/// The distinct ones run on the pool, each into its own slot, so no cover
+/// depends on the thread count.
+std::vector<SynthesizedFsm> minimizeAll(std::vector<Extraction> units) {
+  std::unordered_map<logic::CubeSpec, std::size_t, logic::CubeSpec::Hash>
+      slotOf;
+  std::vector<const logic::CubeSpec*> distinct;
+  std::vector<std::vector<std::size_t>> slots(units.size());
+  for (std::size_t u = 0; u < units.size(); ++u) {
+    for (logic::CubeSpec& spec : units[u].functions) {
+      const auto [it, fresh] =
+          slotOf.try_emplace(std::move(spec), distinct.size());
+      if (fresh) distinct.push_back(&it->first);
+      slots[u].push_back(it->second);
     }
-    const fsm::Fsm::StepResult r = fsm.step(state, asserted);
-    for (std::size_t o = 0; o < fsm.outputs().size(); ++o) {
-      outputOn[o] = std::find(r.outputs.begin(), r.outputs.end(),
-                              fsm.outputs()[o]) != r.outputs.end();
-    }
-    return r.nextState;
+  }
+  std::vector<logic::Cover> covers(distinct.size(), logic::Cover(0));
+  common::parallelFor(distinct.size(), [&](std::size_t i) {
+    covers[i] = logic::minimize(*distinct[i]);
   });
-}
-
-template <typename Minimize>
-SynthesizedFsm minimizeTables(Extraction& x, Minimize&& minimize) {
-  SynthesizedFsm out = std::move(x.shape);
-  for (std::size_t i = 0; i < x.tables.size(); ++i) {
-    (static_cast<int>(i) < out.flipFlops ? out.nextStateLogic
-                                         : out.outputLogic)
-        .push_back(minimize(x.tables[i]));
+  std::vector<SynthesizedFsm> out;
+  for (std::size_t u = 0; u < units.size(); ++u) {
+    out.push_back(std::move(units[u].shape));
+    for (std::size_t i = 0; i < slots[u].size(); ++i) {
+      addCover(out.back(), i, covers[slots[u][i]]);
+    }
   }
   return out;
 }
 
-/// logic::minimize behind a memo local to one synthesis call: identical
-/// truth tables -- functions repeated within a machine, and across
-/// controllers bound to identical unit shapes -- are minimized once.
-class MinimizeOnce {
- public:
-  logic::Cover operator()(logic::TruthTable& tt) {
-    auto it = covers_.find(tt);
-    if (it == covers_.end()) {
-      logic::Cover cover = logic::minimize(tt);
-      it = covers_.emplace(std::move(tt), std::move(cover)).first;
-    }
-    return it->second;
-  }
-
- private:
-  std::unordered_map<logic::TruthTable, logic::Cover, logic::TruthTable::Hash>
-      covers_;
-};
-
 }  // namespace
 
 SynthesizedFsm synthesize(const fsm::Fsm& fsm, EncodingStyle style) {
-  Extraction x = extractCompiled(fsm, style);
-  MinimizeOnce minimize;
-  return minimizeTables(x, minimize);
+  std::vector<Extraction> units;
+  units.push_back(extract(fsm, style));
+  return std::move(minimizeAll(std::move(units)).front());
 }
 
 SynthesizedFsm synthesizeReference(const fsm::Fsm& fsm, EncodingStyle style) {
-  Extraction x = extractStepped(fsm, style);
-  return minimizeTables(x, logic::minimizeReference);
+  const Encoding enc = checkedEncoding(fsm, style);
+  const int numVars = enc.bits + static_cast<int>(fsm.inputs().size());
+  std::vector<logic::TruthTable> tables(
+      enc.bits + fsm.outputs().size(),
+      logic::TruthTable(numVars, logic::Ternary::DontCare));
+  // Sweep every row; step the machine on each whose state bits decode to a
+  // reachable state (the rest stay don't-cares).
+  const std::vector<bool> reachable = reachableStates(fsm);
+  for (std::uint64_t row = 0; row < (std::uint64_t{1} << numVars); ++row) {
+    const int state = enc.stateOf(
+        static_cast<std::uint32_t>(row & ((std::uint64_t{1} << enc.bits) - 1)));
+    if (state < 0 || !reachable[state]) continue;
+    std::unordered_set<std::string> asserted;
+    for (std::size_t i = 0; i < fsm.inputs().size(); ++i) {
+      if ((row >> (enc.bits + i)) & 1) asserted.insert(fsm.inputs()[i]);
+    }
+    const fsm::Fsm::StepResult r = fsm.step(state, asserted);
+    const std::uint32_t nextCode =
+        enc.codeOf[static_cast<std::size_t>(r.nextState)];
+    for (std::size_t f = 0; f < tables.size(); ++f) {
+      const bool one =
+          static_cast<int>(f) < enc.bits
+              ? ((nextCode >> f) & 1) != 0
+              : std::find(r.outputs.begin(), r.outputs.end(),
+                          fsm.outputs()[f - enc.bits]) != r.outputs.end();
+      tables[f].set(row, one ? logic::Ternary::One : logic::Ternary::Zero);
+    }
+  }
+  SynthesizedFsm out = shapeOf(fsm, enc);
+  for (std::size_t f = 0; f < tables.size(); ++f) {
+    addCover(out, f, logic::minimizeReference(tables[f]));
+  }
+  return out;
 }
 
 SynthesizedControllers synthesizeControllers(
     const fsm::DistributedControlUnit& dcu, EncodingStyle style) {
-  MinimizeOnce minimize;
+  // Serially and in controller order, so the first oversized controller is
+  // the one an error names.
+  std::vector<Extraction> units;
+  for (const fsm::UnitController& c : dcu.controllers) {
+    units.push_back(extract(c.fsm, style));
+  }
   SynthesizedControllers syn;
   syn.style = style;
-  for (const fsm::UnitController& c : dcu.controllers) {
-    Extraction x = extractCompiled(c.fsm, style);
-    syn.controllers.push_back(minimizeTables(x, minimize));
-  }
+  syn.controllers = minimizeAll(std::move(units));
   return syn;
 }
 

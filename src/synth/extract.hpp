@@ -1,11 +1,17 @@
 // Next-state / output logic extraction and two-level minimization.
 //
 // Variables of every extracted function, LSB first: the encoded state bits,
-// then the declared input signals.  Rows whose state-bit pattern decodes to
-// no state (or to an unreachable one) are don't-cares, which is where binary
-// encoding recovers area.  Each function is minimized with the logic module
-// (exact QM up to 14 variables, heuristic expansion beyond) and re-verified
-// against its specification.
+// then the declared input signals.  Each function is specified by cubes
+// built from the compiled guards: every reachable state code crossed with
+// every guard term of each of its transitions is one cube, in the function's
+// onset or offset.  Codes that decode to no state (or to an unreachable one)
+// lie in neither list; those don't-cares are where binary encoding recovers
+// area.  Each function is minimized with the logic module (exact QM on a
+// painted table up to 14 variables, the cube expand beyond, so no 2^n table
+// exists above 14 variables) and verified against its specification.  The
+// functions of one call are built serially in controller order, deduplicated
+// by specification, and the distinct ones minimized on the thread pool into
+// fixed slots, so the covers do not depend on the thread count.
 //
 // synthesizeControllers is the pipeline's one synthesis of a distributed
 // unit per encoding (Artifact::Synth under binary, Artifact::SynthEncoded
@@ -55,9 +61,8 @@ struct SynthesizedControllers {
 /// care set the covers were minimized against.
 std::vector<bool> reachableStates(const fsm::Fsm& fsm);
 
-/// Synthesize `fsm` (which must be valid: deterministic and complete).  The
-/// truth-table row sweep evaluates guards compiled to bitmask terms, and
-/// functions with identical truth tables are minimized once.  Throws
+/// Synthesize `fsm` (which must be valid: deterministic and complete).
+/// Functions with identical specifications are minimized once.  Throws
 /// tauhls::Error past 22 logic variables (state bits + inputs).
 SynthesizedFsm synthesize(const fsm::Fsm& fsm,
                           EncodingStyle style = EncodingStyle::Binary);
@@ -69,11 +74,12 @@ SynthesizedFsm synthesize(const fsm::Fsm& fsm,
 SynthesizedFsm synthesizeReference(
     const fsm::Fsm& fsm, EncodingStyle style = EncodingStyle::Binary);
 
-/// The synth passes: every controller of `dcu` under `style`, in
-/// dcu.controllers order (so an oversized controller fails with the same
-/// error as synthesize()).  Controllers bound to identical unit shapes
-/// extract identical truth tables; each distinct table is minimized once per
-/// call.  Covers equal per-controller synthesize().
+/// The synth passes: every controller of `dcu` under `style`.  Specs are
+/// built in dcu.controllers order before anything is minimized, so the first
+/// oversized controller fails with the same error as synthesize().
+/// Controllers bound to identical unit shapes build identical specs; each
+/// distinct spec is minimized once per call.  Covers equal per-controller
+/// synthesize().
 SynthesizedControllers synthesizeControllers(
     const fsm::DistributedControlUnit& dcu, EncodingStyle style);
 

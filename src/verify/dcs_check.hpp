@@ -1,9 +1,9 @@
 // Don't-care soundness of the two-level minimization (rules DCS001-DCS003).
 //
-// synth::synthesize marks every truth-table row whose state-bit pattern
-// decodes to no state -- or to a state unreachable from the initial state --
-// as a don't-care, and the minimizer is free to fill those rows however it
-// shrinks the cover.  That is only sound if the machine can never *occupy*
+// synth::synthesize leaves every row whose state-bit pattern decodes to no
+// state -- or to a state unreachable from the initial state -- out of both
+// cube lists of a function: a don't-care the minimizer is free to fill
+// however it shrinks the cover.  That is only sound if the machine can never *occupy*
 // such a row.  This pass proves it, per controller and per function:
 //
 //   DCS001  the minimized cover differs from the FSM specification on a

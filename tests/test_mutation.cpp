@@ -167,16 +167,20 @@ TEST(Mutation, NetlistVerifierCatchesCorruptedGate) {
 TEST(Mutation, ImplementsCatchesCorruptedCover) {
   logic::TruthTable tt(4);
   for (std::uint64_t m : {1, 3, 7, 11, 15}) tt.set(m, logic::Ternary::One);
-  logic::Cover good = logic::minimize(tt);
+  const logic::CubeSpec spec = test::specOf(tt);
+  logic::Cover good = logic::minimize(spec);
   ASSERT_TRUE(logic::implements(good, tt));
+  ASSERT_TRUE(logic::implements(good, spec));
   // Drop one cube: some onset row goes uncovered.
   logic::Cover bad(4);
   for (std::size_t i = 1; i < good.cubes().size(); ++i) bad.add(good.cubes()[i]);
   EXPECT_FALSE(logic::implements(bad, tt));
+  EXPECT_FALSE(logic::implements(bad, spec));
   // Add a cube covering an offset row.
   logic::Cover tooBig = good;
   tooBig.add(logic::Cube::minterm(4, 0));
   EXPECT_FALSE(logic::implements(tooBig, tt));
+  EXPECT_FALSE(logic::implements(tooBig, spec));
 }
 
 /// Gate-by-gate copy of a controller netlist.  `remapFanin` may redirect any

@@ -117,7 +117,9 @@ void expectSameFlowResult(const FlowResult& a, const FlowResult& b) {
             rtl::emitPackage(b.distributed, "eq"));
   EXPECT_EQ(fsm::toKiss2(a.centSync), fsm::toKiss2(b.centSync));
   ASSERT_EQ(a.centFsm.has_value(), b.centFsm.has_value());
-  if (a.centFsm) EXPECT_EQ(fsm::toKiss2(*a.centFsm), fsm::toKiss2(*b.centFsm));
+  if (a.centFsm) {
+    EXPECT_EQ(fsm::toKiss2(*a.centFsm), fsm::toKiss2(*b.centFsm));
+  }
   EXPECT_EQ(a.signalStats.removedOutputs, b.signalStats.removedOutputs);
   EXPECT_EQ(a.signalStats.keptOutputs, b.signalStats.keptOutputs);
   EXPECT_EQ(verify::renderText(a.diagnostics),
