@@ -248,8 +248,39 @@ TEST(DcsMutation, DontCareAbusingMinimizerTripsDcs) {
   // The mutated covers also steer the implemented machine onto a don't-care
   // row, and the BMC counterexample decodes to named states.
   ASSERT_TRUE(report.has("DCS002")) << renderText(report);
-  const std::string msg = report.withCode("DCS002").front().message;
-  EXPECT_NE(msg.find("cycle 0: state="), std::string::npos) << msg;
+  const Diagnostic d = report.withCode("DCS002").front();
+  EXPECT_NE(d.message.find("cycle 0: state="), std::string::npos)
+      << d.message;
+  EXPECT_EQ(d.artifact, "fsm D_FSM_mult1");
+  EXPECT_EQ(d.where, "<code 7>");
+  EXPECT_EQ(d.message,
+            "the implemented next-state covers reach a don't-care row after 1 "
+            "cycle(s) -- a row the minimizer assumed impossible (care set: 5 "
+            "of 5 states):\n"
+            "  cycle 0: state=S0 C_mult1=0 CCO_O1=0\n"
+            "  cycle 1: state=<code 7> C_mult1=0 CCO_O1=0");
+}
+
+TEST(DcsBudget, NegativeDepthBudgetIsUnknownWithoutCertification) {
+  const fsm::DistributedControlUnit dcu = fig2Dcu();
+  const synth::SynthesizedControllers syn =
+      synth::synthesizeControllers(dcu, synth::EncodingStyle::Binary);
+  DcsOptions options;
+  options.maxDepth = -1;  // the DCS002 proof never runs a frame
+  Report report;
+  const DcsStats stats = checkDcsFsm(dcu.controllers[0].fsm,
+                                     syn.controllers[0], "fsm c0", report,
+                                     options);
+  EXPECT_FALSE(report.hasErrors()) << renderText(report);
+  EXPECT_FALSE(report.has("DCS003")) << renderText(report);
+  ASSERT_EQ(stats.properties.size(), 3u);
+  const XpropPropertyStat& reach = stats.properties[1];
+  EXPECT_EQ(reach.rule, "DCS002");
+  EXPECT_EQ(reach.verdict, "UNKNOWN");
+  EXPECT_EQ(reach.depth, -1);
+  EXPECT_EQ(reach.cexCycle, -1);
+  EXPECT_EQ(reach.cost.queries, 0u);
+  EXPECT_EQ(stats.properties[0].verdict, "PROVED");  // DCS001 is unaffected
 }
 
 // ---- determinism -----------------------------------------------------------
